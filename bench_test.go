@@ -260,12 +260,16 @@ func BenchmarkPowerSweep(b *testing.B) {
 	specs := tile.SpecsFromNetwork(net, cfg)
 	tile.InstallMasks(net, specs)
 	cs := hawaii.NewCostSim(cfg)
+	plan, err := cs.CompileNetwork(net, specs, tile.Intermittent)
+	if err != nil {
+		b.Fatal(err)
+	}
 	sweep := []float64{2e-3, 4e-3, 8e-3, 16e-3, 32e-3}
 	for i := 0; i < b.N; i++ {
 		var last float64
 		for _, p := range sweep {
 			sup := power.Supply{Name: "sweep", Power: p, Jitter: 0}
-			r, err := cs.RunNetwork(net, specs, tile.Intermittent, sup, 1)
+			r, err := cs.RunPlan(plan, power.NewSim(power.DefaultBuffer(), sup, 1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -367,15 +371,21 @@ func BenchmarkEngineInferHAR(b *testing.B) {
 	}
 }
 
+// BenchmarkCostSimHAR runs HAR's compiled plan once per iteration under
+// the weak supply; compilation happens once, outside the timer.
 func BenchmarkCostSimHAR(b *testing.B) {
 	net := models.HAR(1)
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
 	tile.InstallMasks(net, specs)
 	cs := hawaii.NewCostSim(cfg)
+	plan, err := cs.CompileNetwork(net, specs, tile.Intermittent)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cs.RunNetwork(net, specs, tile.Intermittent, power.WeakPower, int64(i)); err != nil {
+		if _, err := cs.RunPlan(plan, power.NewSim(power.DefaultBuffer(), power.WeakPower, int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

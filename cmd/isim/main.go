@@ -145,6 +145,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Compile once; every inference below runs the same plan.
+	plan, err := iprune.CompileSim(net)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var totalLat, totalEnergy float64
 	var totalFail int
 	for i := 0; i < *n; i++ {
@@ -160,13 +165,7 @@ func main() {
 		case i == 0 && rec != nil:
 			tr = rec
 		}
-		var r iprune.SimResult
-		var simErr error
-		if tr != nil {
-			r, simErr = iprune.SimulateObserved(net, sup, *seed+int64(i), tr)
-		} else {
-			r, simErr = iprune.Simulate(net, sup, *seed+int64(i))
-		}
+		r, simErr := plan.Simulate(sup, *seed+int64(i), tr)
 		if simErr != nil {
 			log.Fatal(simErr)
 		}

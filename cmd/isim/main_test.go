@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -119,5 +120,29 @@ func TestWriteArtifactWritesAndPropagatesErrors(t *testing.T) {
 
 	if err := iprune.WriteArtifact(filepath.Join(t.TempDir(), "no", "such", "dir.txt"), func(io.Writer) error { return nil }); err == nil {
 		t.Error("WriteArtifact must surface create errors")
+	}
+}
+
+// TestSweepGolden pins `isim -model SQN -sweep 2mW,4mW,8mW,strong,weak,continuous`
+// to testdata/sweep_sqn.golden at one worker, and requires the same
+// points at two workers (only the header's worker count differs).
+func TestSweepGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "sweep_sqn.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := iprune.BuildModel("SQN", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		var b strings.Builder
+		if err := runSweep(&b, net, "2mW,4mW,8mW,strong,weak,continuous", 1, workers); err != nil {
+			t.Fatal(err)
+		}
+		got := strings.Replace(b.String(), fmt.Sprintf("%d worker(s)", workers), "1 worker(s)", 1)
+		if got != string(want) {
+			t.Errorf("workers=%d: sweep output\n%s\nwant\n%s", workers, got, want)
+		}
 	}
 }

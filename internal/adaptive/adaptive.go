@@ -27,25 +27,24 @@ type Variant struct {
 	Name     string
 	Net      *nn.Network
 	Accuracy float64 // measured accuracy of the variant
-	schedule []hawaii.Op
+	plan     *hawaii.Plan
 }
 
 // Selector picks variants by harvested power.
 type Selector struct {
-	cfg      tile.Config
 	sim      *hawaii.CostSim
 	variants []Variant
 }
 
 // NewSelector builds a selector over the given variants (at least one).
-// Variants are deployed with the default engine configuration; their op
-// schedules are precomputed once.
+// Variants are deployed with the default engine configuration; each is
+// compiled once into the plan every estimate runs.
 func NewSelector(variants []Variant) (*Selector, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("adaptive: no variants")
 	}
 	cfg := tile.DefaultConfig()
-	s := &Selector{cfg: cfg, sim: hawaii.NewCostSim(cfg)}
+	s := &Selector{sim: hawaii.NewCostSim(cfg)}
 	for _, v := range variants {
 		specs := tile.SpecsFromNetwork(v.Net, cfg)
 		for i, p := range v.Net.Prunables() {
@@ -53,8 +52,11 @@ func NewSelector(variants []Variant) (*Selector, error) {
 				p.InitBlocks(specs[i].TM, specs[i].TK)
 			}
 		}
-		v.schedule = hawaii.ScheduleFromNetwork(v.Net, specs, tile.Intermittent, cfg)
-		if len(v.schedule) == 0 {
+		var err error
+		if v.plan, err = s.sim.CompileNetwork(v.Net, specs, tile.Intermittent); err != nil {
+			return nil, fmt.Errorf("adaptive: variant %s: %w", v.Name, err)
+		}
+		if v.plan.Len() == 0 {
 			return nil, fmt.Errorf("adaptive: variant %s has an empty schedule", v.Name)
 		}
 		s.variants = append(s.variants, v)
@@ -76,7 +78,7 @@ func (s *Selector) Estimate(i int, harvestWatts float64) float64 {
 	if harvestWatts >= 1 {
 		sup.Continuous = true
 	}
-	res, err := s.sim.Run(s.variants[i].schedule, tile.Intermittent, sup, 1)
+	res, err := s.sim.RunPlan(s.variants[i].plan, power.NewSim(power.DefaultBuffer(), sup, 1))
 	if err != nil {
 		return math.Inf(1)
 	}

@@ -135,16 +135,16 @@ func (o *offsetTracer) Emit(ev obs.Event) {
 	o.t.Emit(ev)
 }
 
-// buildSchedule constructs the accelerator-op schedule for a model, as
-// deployed (dense block masks installed).
-func buildSchedule(model string, seed int64, cfg tile.Config) ([]hawaii.Op, error) {
+// compilePlan compiles a model's accelerator-op schedule, as deployed
+// (dense block masks installed), for cs.
+func compilePlan(cs *hawaii.CostSim, model string, seed int64) (*hawaii.Plan, error) {
 	net, err := models.ByName(model, seed)
 	if err != nil {
 		return nil, err
 	}
-	specs := tile.SpecsFromNetwork(net, cfg)
+	specs := tile.SpecsFromNetwork(net, cs.Cfg)
 	tile.InstallMasks(net, specs)
-	return hawaii.ScheduleFromNetwork(net, specs, tile.Intermittent, cfg), nil
+	return cs.CompileNetwork(net, specs, tile.Intermittent)
 }
 
 // accSamples sizes the held-out set for the deployed-accuracy probe:
@@ -178,8 +178,8 @@ func deployedAccuracy(model string, seed int64) (float64, error) {
 
 // runNode simulates one node end to end: one power simulator spans every
 // inference (failures and profile time carry across boundaries), the
-// schedule is rebuilt at each switch-model boundary, and all events flow
-// into the node's hub device.
+// model is compiled at node start and again at each switch-model
+// boundary, and all events flow into the node's hub device.
 func runNode(n *node, dev *obs.HubDevice) NodeResult {
 	r := NodeResult{ID: n.spec.ID, Model: n.spec.Model, Supply: n.label}
 	if n.spec.DeadlineS > 0 {
@@ -197,12 +197,12 @@ func runNode(n *node, dev *obs.HubDevice) NodeResult {
 		sim = power.NewSim(power.DefaultBuffer(), n.supply, n.seed)
 	}
 	// The power simulator emits on the node's global clock; keep it on
-	// the raw device so RunWithSim does not rebind it to the per-run
+	// the raw device so RunPlan does not rebind it to the per-run
 	// tracer below.
 	sim.Trace = dev
 
-	cfg := tile.DefaultConfig()
-	ops, err := buildSchedule(r.Model, n.seed, cfg)
+	cs := hawaii.NewCostSim(tile.DefaultConfig())
+	plan, err := compilePlan(cs, r.Model, n.seed)
 	if err != nil {
 		r.Err = err
 		return r
@@ -218,14 +218,13 @@ func runNode(n *node, dev *obs.HubDevice) NodeResult {
 			}
 			r.Model = sw.model
 			r.Switches++
-			if ops, err = buildSchedule(r.Model, n.seed, cfg); err != nil {
+			if plan, err = compilePlan(cs, r.Model, n.seed); err != nil {
 				r.Err = err
 				return r
 			}
 		}
-		cs := hawaii.NewCostSim(cfg)
 		cs.Trace = &offsetTracer{t: dev, dt: now}
-		res, err := cs.RunWithSim(ops, tile.Intermittent, sim)
+		res, err := cs.RunPlan(plan, sim)
 		r.Latency += res.Latency
 		if err != nil {
 			r.Err = err

@@ -9,8 +9,10 @@
 //   - CostSim (this file): an event-driven simulator that walks the
 //     accelerator-op schedule of a model and integrates latency and energy
 //     against the device profile and the harvesting supply, including
-//     power failures, recharge dead time and progress recovery. It scales
-//     to full models and generates the paper's Figure 2 and Figure 5.
+//     power failures, recharge dead time and progress recovery. A model's
+//     schedule is compiled once into a priced Plan that every run under
+//     every supply shares. It scales to full models and generates the
+//     paper's Figure 2 and Figure 5.
 //
 //   - Engine (engine.go): a functional simulator that really executes
 //     Q15 inference job by job against simulated VM/NVM state with
@@ -19,6 +21,7 @@
 package hawaii
 
 import (
+	"errors"
 	"fmt"
 
 	"iprune/internal/device"
@@ -63,8 +66,8 @@ type Op struct {
 //iprune:hotpath
 //iprune:allow-budget host-side schedule construction; it plans power-cycle regions but never executes inside one
 func BuildSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, mode tile.Mode, cfg tile.Config) []Op {
-	if mask != nil && (mask.Rows != spec.M || mask.Cols != spec.K || mask.BM != spec.TM || mask.BK != spec.TK) {
-		panic(fmt.Sprintf("hawaii: mask geometry does not match spec for %s", spec.Name))
+	if err := checkMask(spec, mask); err != nil {
+		panic(err.Error())
 	}
 	eb := int64(cfg.ElemBytes)
 	brs := (spec.M + spec.TM - 1) / spec.TM
@@ -252,6 +255,96 @@ func (e *ErrOpExceedsBuffer) Error() string {
 		what, e.Op, e.Supply, energy.FormatJ(e.Energy), energy.FormatJ(e.Buffer))
 }
 
+// ErrMaskGeometry reports a prunable layer whose block mask does not
+// tile the layer the way the engine's ops do, so no schedule exists for
+// it: the mask's shape or block size differs from the layer spec's.
+type ErrMaskGeometry struct {
+	Layer        string
+	Rows, Cols   int // mask shape
+	BM, BK       int // mask block size
+	M, K, TM, TK int // spec shape and op tile
+}
+
+func (e *ErrMaskGeometry) Error() string {
+	return fmt.Sprintf("hawaii: mask geometry %dx%d/%dx%d does not match spec %dx%d/%dx%d for %s",
+		e.Rows, e.Cols, e.BM, e.BK, e.M, e.K, e.TM, e.TK, e.Layer)
+}
+
+// checkMask returns *ErrMaskGeometry unless mask is nil (dense) or
+// blocks spec exactly as its ops do.
+func checkMask(spec *tile.LayerSpec, mask *nn.BlockMask) error {
+	if mask == nil || mask.Rows == spec.M && mask.Cols == spec.K && mask.BM == spec.TM && mask.BK == spec.TK {
+		return nil
+	}
+	return &ErrMaskGeometry{
+		Layer: spec.Name, Rows: mask.Rows, Cols: mask.Cols, BM: mask.BM, BK: mask.BK,
+		M: spec.M, K: spec.K, TM: spec.TM, TK: spec.TK,
+	}
+}
+
+// Plan is one deployed model compiled for the cost simulator: its op
+// schedule under one execution mode, with every distinct op priced once
+// against the device profile and tile config of the CostSim that
+// compiled it. A plan is immutable, so one plan serves any number of
+// runs, concurrent ones included, under any supply.
+type Plan struct {
+	dev  device.Profile
+	cfg  tile.Config
+	mode tile.Mode
+	// seq is the schedule: seq[i] indexes the class of op i. The three
+	// paper models schedule 240–3816 ops but only 8–23 distinct ones.
+	seq     []int32
+	classes []opClass
+}
+
+// opClass is one distinct op of a plan with its prices.
+type opClass struct {
+	op     Op
+	t, e   float64   // op latency and energy
+	b      Breakdown // attribution of t (RecoveryTime unused)
+	rt, re float64   // recovery latency and energy after a failure in op
+}
+
+// Len returns the number of ops in the plan's schedule.
+func (p *Plan) Len() int { return len(p.seq) }
+
+// ErrPlanMismatch reports a plan run by a CostSim whose device profile
+// or tile config differs from the one that compiled it.
+var ErrPlanMismatch = errors.New("hawaii: plan was compiled for a different device profile or tile config")
+
+// compile prices the schedule ops under mode into a plan. The plan
+// copies what it needs, so ops may be reused afterwards.
+func (cs *CostSim) compile(ops []Op, mode tile.Mode) *Plan {
+	p := &Plan{dev: cs.Dev, cfg: cs.Cfg, mode: mode, seq: make([]int32, len(ops))}
+	ids := make(map[Op]int32)
+	for i := range ops {
+		op := &ops[i]
+		id, ok := ids[*op]
+		if !ok {
+			id = int32(len(p.classes))
+			ids[*op] = id
+			c := opClass{op: *op}
+			c.t, c.e, c.b = cs.opCost(op, mode)
+			c.rt, c.re = cs.recoveryCost(op)
+			p.classes = append(p.classes, c)
+		}
+		p.seq[i] = id
+	}
+	return p
+}
+
+// CompileNetwork compiles the whole-model schedule of the network's
+// current masks. A mask the schedule cannot follow returns
+// *ErrMaskGeometry.
+func (cs *CostSim) CompileNetwork(net *nn.Network, specs []tile.LayerSpec, mode tile.Mode) (*Plan, error) {
+	for i, p := range net.Prunables() {
+		if err := checkMask(&specs[i], p.Mask()); err != nil {
+			return nil, err
+		}
+	}
+	return cs.compile(ScheduleFromNetwork(net, specs, mode, cs.Cfg), mode), nil
+}
+
 // Run simulates one end-to-end inference of the schedule under the given
 // execution mode and supply. seed controls harvest jitter. A non-nil
 // error is *ErrOpExceedsBuffer: the schedule contains an op that can
@@ -263,12 +356,33 @@ func (cs *CostSim) Run(ops []Op, mode tile.Mode, sup power.Supply, seed int64) (
 
 // RunWithSim simulates the schedule against a caller-provided power
 // simulator — the hook for trace-driven supplies (power.NewTraceSim) and
-// custom buffers.
+// custom buffers. It compiles the schedule on every call; callers that
+// run one network many times should CompileNetwork once and use RunPlan.
+func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result, error) {
+	return cs.RunPlan(cs.compile(ops, mode), sim)
+}
+
+// RunNetwork compiles the network's current masks and runs the plan
+// once; a mask the schedule cannot follow returns *ErrMaskGeometry.
+func (cs *CostSim) RunNetwork(net *nn.Network, specs []tile.LayerSpec, mode tile.Mode, sup power.Supply, seed int64) (Result, error) {
+	p, err := cs.CompileNetwork(net, specs, mode)
+	if err != nil {
+		return Result{}, err
+	}
+	return cs.RunPlan(p, power.NewSim(power.DefaultBuffer(), sup, seed))
+}
+
+// RunPlan simulates one end-to-end inference of a compiled plan against
+// sim; it is the one simulation loop behind every Run variant. Errors
+// are *ErrOpExceedsBuffer, as for Run, or ErrPlanMismatch.
 //
 //iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
-func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result, error) {
+func (cs *CostSim) RunPlan(p *Plan, sim *power.Sim) (Result, error) {
+	if p.dev != cs.Dev || p.cfg != cs.Cfg {
+		return Result{}, ErrPlanMismatch
+	}
 	sup := sim.Supply
-	if mode == tile.Continuous && !sup.Continuous {
+	if p.mode == tile.Continuous && !sup.Continuous {
 		panic("hawaii: the conventional data-reuse flow cannot survive power failures (Section II-B); use Intermittent mode with a harvested supply")
 	}
 	var tr obs.Tracer = obs.Nop{}
@@ -295,8 +409,9 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 			})
 		}
 	}
-	for i := range ops {
-		op := &ops[i]
+	for i, id := range p.seq {
+		c := &p.classes[id]
+		op := &c.op
 		if op.Layer != curLayer {
 			endLayer()
 			curLayer = op.Layer
@@ -305,7 +420,7 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 				tr.Emit(obs.Event{Kind: obs.KindLayerStart, Time: res.Latency, Layer: curLayer, Op: -1})
 			}
 		}
-		t, e, b := cs.opCost(op, mode)
+		t, e := c.t, c.e
 		const maxRetries = 1000
 		retries := 0
 		for {
@@ -322,7 +437,7 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 			off := sim.Recharge()
 			res.OffTime += off
 			res.Latency += off
-			rt, re := cs.recoveryCost(op)
+			rt, re := c.rt, c.re
 			for sim.Consume(re, rt) {
 				// Failing during recovery itself: recharge and retry the
 				// recovery (possible only under extreme profiles).
@@ -376,22 +491,16 @@ func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result,
 		res.Latency += t
 		res.Ops++
 		res.Jobs += op.Jobs
-		res.Break.ReadTime += b.ReadTime
-		res.Break.WriteTime += b.WriteTime
-		res.Break.ComputeTime += b.ComputeTime
-		res.Break.OverheadTime += b.OverheadTime
+		res.Break.ReadTime += c.b.ReadTime
+		res.Break.WriteTime += c.b.WriteTime
+		res.Break.ComputeTime += c.b.ComputeTime
+		res.Break.OverheadTime += c.b.OverheadTime
 	}
 	endLayer()
-	if traced && len(ops) > 0 {
+	if traced && len(p.seq) > 0 {
 		tr.Emit(obs.Event{Kind: obs.KindPowerOff, Time: res.Latency, Layer: -1, Op: -1})
 	}
 	res.Energy = sim.EnergyUsed
 	res.Failures = sim.Failures
 	return res, nil
-}
-
-// RunNetwork is a convenience wrapper: schedule + Run from a network's
-// current masks.
-func (cs *CostSim) RunNetwork(net *nn.Network, specs []tile.LayerSpec, mode tile.Mode, sup power.Supply, seed int64) (Result, error) {
-	return cs.Run(ScheduleFromNetwork(net, specs, mode, cs.Cfg), mode, sup, seed)
 }

@@ -29,8 +29,8 @@ const taskIndicatorBytes = 16
 // Each returned Op therefore *is* one task; the CostSim executes task
 // schedules unchanged.
 func BuildTaskSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, cfg tile.Config) []Op {
-	if mask != nil && (mask.Rows != spec.M || mask.Cols != spec.K || mask.BM != spec.TM || mask.BK != spec.TK) {
-		panic("hawaii: mask geometry does not match spec for " + spec.Name)
+	if err := checkMask(spec, mask); err != nil {
+		panic(err.Error())
 	}
 	eb := int64(cfg.ElemBytes)
 	brs := (spec.M + spec.TM - 1) / spec.TM

@@ -503,3 +503,46 @@ func TestCostSimRunMatchesRunWithSim(t *testing.T) {
 		t.Error("Run and RunWithSim diverged for the same supply/seed")
 	}
 }
+
+// TestPlanIsSelfContained pins the compiled plan's contract: it is
+// priced once for one device profile and tile config and refuses any
+// other, it interns identical ops, and it does not alias the schedule it
+// was compiled from.
+func TestPlanIsSelfContained(t *testing.T) {
+	net, specs, cfg := buildNet(9)
+	cs := NewCostSim(cfg)
+	ops := ScheduleFromNetwork(net, specs, tile.Intermittent, cfg)
+	plan := cs.compile(ops, tile.Intermittent)
+	if plan.Len() != len(ops) {
+		t.Fatalf("plan has %d ops, schedule %d", plan.Len(), len(ops))
+	}
+	distinct := map[Op]bool{}
+	for _, op := range ops {
+		distinct[op] = true
+	}
+	if len(plan.classes) != len(distinct) {
+		t.Errorf("plan has %d op classes, schedule %d distinct ops", len(plan.classes), len(distinct))
+	}
+	want, err := cs.Run(ops, tile.Intermittent, power.WeakPower, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ops {
+		ops[i].MACs *= 2 // the plan must not see later edits to the schedule
+	}
+	got, err := cs.RunPlan(plan, power.NewSim(power.DefaultBuffer(), power.WeakPower, 3))
+	if err != nil || got != want {
+		t.Errorf("RunPlan = %+v, %v; want %+v", got, err, want)
+	}
+
+	other := NewCostSim(cfg)
+	other.Dev.MACTime *= 2
+	if _, err := other.RunPlan(plan, power.NewSim(power.DefaultBuffer(), power.WeakPower, 3)); !errors.Is(err, ErrPlanMismatch) {
+		t.Errorf("device mismatch: err = %v, want ErrPlanMismatch", err)
+	}
+	other = NewCostSim(cfg)
+	other.Cfg.IndicatorBytes++
+	if _, err := other.RunPlan(plan, power.NewSim(power.DefaultBuffer(), power.WeakPower, 3)); !errors.Is(err, ErrPlanMismatch) {
+		t.Errorf("config mismatch: err = %v, want ErrPlanMismatch", err)
+	}
+}

@@ -96,3 +96,42 @@ func TestPaperModelsPowerCycleCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPlanAllocsIndependentOfLength is the compile-once gate: with
+// the plan compiled and the power simulator built outside the measured
+// function, running HAR (240 ops) and SQN (3816 ops) allocates the same
+// number of objects, so no per-op cost is left in the simulation loop.
+func TestRunPlanAllocsIndependentOfLength(t *testing.T) {
+	const runs = 20
+	cfg := tile.DefaultConfig()
+	allocs := map[string]float64{}
+	for _, name := range []string{"HAR", "SQN"} {
+		net, err := models.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := tile.SpecsFromNetwork(net, cfg)
+		tile.InstallMasks(net, specs)
+		cs := NewCostSim(cfg)
+		plan, err := cs.CompileNetwork(net, specs, tile.Intermittent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims := make([]*power.Sim, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range sims {
+			sims[i] = power.NewSim(power.DefaultBuffer(), power.WeakPower, int64(i))
+		}
+		next := 0
+		allocs[name] = testing.AllocsPerRun(runs, func() {
+			res, err := cs.RunPlan(plan, sims[next])
+			next++
+			if err != nil || res.Failures == 0 {
+				t.Errorf("%s: %d failures, err %v; want an intermittent run", name, res.Failures, err)
+			}
+		})
+		t.Logf("%s: %d ops, %.0f allocs per run", name, plan.Len(), allocs[name])
+	}
+	if allocs["HAR"] != allocs["SQN"] {
+		t.Errorf("allocs per run: HAR %.0f, SQN %.0f; want equal", allocs["HAR"], allocs["SQN"])
+	}
+}

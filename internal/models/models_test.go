@@ -1,8 +1,11 @@
 package models
 
 import (
+	"encoding/gob"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"iprune/internal/dataset"
@@ -169,6 +172,40 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if net.Predict(x) != got.Predict(x) {
 		t.Error("loaded model predicts differently")
+	}
+}
+
+// TestLoadRejectsInvalidMaskGeometry feeds Load snapshots whose mask
+// block size is zero or negative: each must come back as an error, not
+// a panic inside nn.NewBlockMask.
+func TestLoadRejectsInvalidMaskGeometry(t *testing.T) {
+	net := HAR(7)
+	for _, geom := range [][2]int{{0, 0}, {0, 8}, {8, 0}, {-4, 8}} {
+		snap := snapshot{Model: net.Name, Seed: 7, Version: snapshotVersion}
+		for _, l := range net.Layers {
+			for _, p := range l.Params() {
+				snap.Params = append(snap.Params, p.Data)
+			}
+		}
+		for range net.Prunables() {
+			snap.Masks = append(snap.Masks, maskSnap{})
+		}
+		snap.Masks[1] = maskSnap{BM: geom[0], BK: geom[1], Keep: []bool{true}}
+		path := filepath.Join(t.TempDir(), "crafted.model")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(f).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(path)
+		if err == nil || !strings.Contains(err.Error(), "invalid block geometry") {
+			t.Errorf("mask geometry %dx%d: Load error = %v, want invalid block geometry", geom[0], geom[1], err)
+		}
 	}
 }
 

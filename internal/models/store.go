@@ -97,6 +97,9 @@ func Load(path string) (*nn.Network, error) {
 		if ms.Keep == nil {
 			continue
 		}
+		if ms.BM <= 0 || ms.BK <= 0 {
+			return nil, fmt.Errorf("models: %s: mask %d has invalid block geometry %dx%d", path, i, ms.BM, ms.BK)
+		}
 		prunables[i].InitBlocks(ms.BM, ms.BK)
 		m := prunables[i].Mask()
 		if len(m.Keep) != len(ms.Keep) {

@@ -162,8 +162,12 @@ func evaluate(name string, net *nn.Network, ds *dataset.Dataset, cfg tile.Config
 	v.AccuracyQ = quant.AccuracyQ15(quant.QuantizeWeights(net), ds.Test)
 	v.Counts = tile.CountNetwork(net, specs, tile.Intermittent, cfg)
 	cs := hawaii.NewCostSim(cfg)
+	plan, err := cs.CompileNetwork(net, specs, tile.Intermittent)
+	if err != nil {
+		return v, fmt.Errorf("report: %s: %w", name, err)
+	}
 	for _, sup := range Supplies() {
-		r, err := cs.RunNetwork(net, specs, tile.Intermittent, sup, seed)
+		r, err := cs.RunPlan(plan, power.NewSim(power.DefaultBuffer(), sup, seed))
 		if err != nil {
 			return v, fmt.Errorf("report: %s under %s: %w", name, sup.Name, err)
 		}

@@ -202,12 +202,49 @@ func Simulate(net *Network, sup Supply, seed int64) (SimResult, error) {
 // CollectTrace / WriteChromeTrace / WriteTraceCSV). A nil tracer
 // behaves exactly like Simulate.
 func SimulateObserved(net *Network, sup Supply, seed int64, tr Tracer) (SimResult, error) {
+	p, err := CompileSim(net)
+	if err != nil {
+		return SimResult{}, err
+	}
+	return p.Simulate(sup, seed, tr)
+}
+
+// SimPlan is a network compiled once for the cost simulator: its
+// accelerator-op schedule with every op priced. Each Simulate on it
+// skips the schedule build and pricing, so code that simulates one
+// model many times (several supplies, seeds or inferences) compiles
+// once and reuses the plan. A SimPlan is safe for concurrent use.
+type SimPlan struct {
+	cs   hawaii.CostSim
+	plan *hawaii.Plan
+}
+
+// CompileSim installs any missing block masks and compiles net's
+// intermittent schedule under the default engine configuration. Later
+// edits to net do not reach the plan. A mask the engine cannot schedule
+// returns *hawaii.ErrMaskGeometry.
+func CompileSim(net *Network) (*SimPlan, error) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
 	ensureMasks(net, specs)
-	cs := hawaii.NewCostSim(cfg)
+	p := &SimPlan{cs: *hawaii.NewCostSim(cfg)}
+	var err error
+	if p.plan, err = p.cs.CompileNetwork(net, specs, tile.Intermittent); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Simulate runs one inference of the plan under sup, exactly as
+// SimulateObserved(net, sup, seed, tr) would; tr may be nil.
+func (p *SimPlan) Simulate(sup Supply, seed int64, tr Tracer) (SimResult, error) {
+	return p.run(power.NewSim(power.DefaultBuffer(), sup, seed), tr)
+}
+
+func (p *SimPlan) run(sim *power.Sim, tr Tracer) (SimResult, error) {
+	cs := p.cs
 	cs.Trace = tr
-	return cs.RunNetwork(net, specs, tile.Intermittent, sup, seed)
+	return cs.RunPlan(p.plan, sim)
 }
 
 // SweepPoint is one operating point of a PowerSweep: the supply it ran
@@ -222,11 +259,12 @@ type SweepPoint struct {
 // PowerSweep simulates one end-to-end inference of net at every supply,
 // sharded workers-wide across the internal worker pool (workers <= 1 is
 // fully sequential, 0 is not special-cased — pass the parallelism you
-// want). Every point builds its own schedule and cost simulator, so
-// points share only the immutable network and results are positionally
-// deterministic: pts[i] always corresponds to sups[i], whatever the
-// worker count. The masks the schedule needs are installed once, before
-// the fan-out, keeping the shared network read-only inside it.
+// want). The network is compiled once, before the fan-out, into a plan
+// every point runs with its own power simulator, so points share only
+// that immutable plan and results are positionally deterministic:
+// pts[i] always corresponds to sups[i], whatever the worker count, and
+// equals Simulate(net, sups[i], seed). A mask the schedule cannot
+// follow puts its *hawaii.ErrMaskGeometry on every point.
 func PowerSweep(net *Network, sups []Supply, seed int64, workers int) []SweepPoint {
 	return PowerSweepContext(context.Background(), net, sups, seed, workers)
 }
@@ -241,20 +279,22 @@ func PowerSweepContext(ctx context.Context, net *Network, sups []Supply, seed in
 	for i := range pts {
 		pts[i].Supply = sups[i]
 	}
-	// Install masks up front so concurrent points never mutate net.
-	cfg := tile.DefaultConfig()
-	ensureMasks(net, tile.SpecsFromNetwork(net, cfg))
 	done := make([]bool, len(sups))
-	runPoint := func(i int) {
-		pts[i].Result, pts[i].Err = Simulate(net, sups[i], seed)
-		done[i] = true
-	}
 	markSkipped := func(err error) {
 		for i := range pts {
 			if !done[i] {
 				pts[i].Err = err
 			}
 		}
+	}
+	plan, err := CompileSim(net)
+	if err != nil {
+		markSkipped(err)
+		return pts
+	}
+	runPoint := func(i int) {
+		pts[i].Result, pts[i].Err = plan.Simulate(sups[i], seed, nil)
+		done[i] = true
 	}
 	if workers <= 1 || len(sups) <= 1 {
 		for i := range sups {
@@ -464,12 +504,12 @@ func LoadModel(path string) (*Network, error) { return models.Load(path) }
 
 // ensureMasks installs accelerator-block masks on networks that have not
 // been through the pruner yet, so cost counting always has geometry.
+// Existing masks are kept; compiling reports one the engine cannot
+// schedule.
 func ensureMasks(net *Network, specs []tile.LayerSpec) {
 	for i, p := range net.Prunables() {
-		if m := p.Mask(); m == nil || m.BM != specs[i].TM || m.BK != specs[i].TK {
-			if m == nil {
-				p.InitBlocks(specs[i].TM, specs[i].TK)
-			}
+		if p.Mask() == nil {
+			p.InitBlocks(specs[i].TM, specs[i].TK)
 		}
 	}
 }
@@ -495,16 +535,15 @@ func SolarTrace(peakWatts, duration float64, clouds int, seed int64) power.Trace
 // SimulateTrace runs one intermittent inference against a time-varying
 // harvest trace (see SolarTrace).
 func SimulateTrace(net *Network, tr power.Trace, seed int64) (SimResult, error) {
-	cfg := tile.DefaultConfig()
-	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
 	sim, err := power.NewTraceSim(power.DefaultBuffer(), tr, seed)
 	if err != nil {
 		return SimResult{}, err
 	}
-	cs := hawaii.NewCostSim(cfg)
-	ops := hawaii.ScheduleFromNetwork(net, specs, tile.Intermittent, cfg)
-	return cs.RunWithSim(ops, tile.Intermittent, sim)
+	p, err := CompileSim(net)
+	if err != nil {
+		return SimResult{}, err
+	}
+	return p.run(sim, nil)
 }
 
 // Trace re-exports the time-varying harvest profile type.

@@ -3,12 +3,16 @@ package iprune_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"iprune"
+	"iprune/internal/hawaii"
+	"iprune/internal/models"
 )
 
 func TestFacadeBuildAndStats(t *testing.T) {
@@ -74,6 +78,33 @@ func TestPowerSweepCancelledPropagatesError(t *testing.T) {
 			if pt.Err == nil {
 				t.Errorf("workers=%d: pts[%d].Err = nil after cancellation", workers, i)
 			}
+		}
+	}
+}
+
+// TestSimulateMaskGeometryError pins the simulate entry points on a
+// network whose mask blocks a layer differently from the engine's ops:
+// each returns *hawaii.ErrMaskGeometry instead of panicking while
+// building the schedule.
+func TestSimulateMaskGeometryError(t *testing.T) {
+	net := models.HAR(1)
+	net.Prunables()[0].InitBlocks(4, 4)
+	check := func(what string, err error) {
+		t.Helper()
+		var geom *hawaii.ErrMaskGeometry
+		if !errors.As(err, &geom) {
+			t.Errorf("%s: err = %v, want *hawaii.ErrMaskGeometry", what, err)
+		} else if geom.BM != 4 || geom.BK != 4 {
+			t.Errorf("%s: error reports block %dx%d, want 4x4", what, geom.BM, geom.BK)
+		}
+	}
+	_, err := iprune.Simulate(net, iprune.WeakPower, 1)
+	check("Simulate", err)
+	_, err = iprune.SimulateTrace(net, iprune.SolarTrace(8e-3, 60, 2, 1), 1)
+	check("SimulateTrace", err)
+	for _, workers := range []int{1, 2} {
+		for i, pt := range iprune.PowerSweep(net, []iprune.Supply{iprune.StrongPower, iprune.WeakPower}, 1, workers) {
+			check(fmt.Sprintf("PowerSweep workers=%d point %d", workers, i), pt.Err)
 		}
 	}
 }

@@ -88,6 +88,19 @@ go run ./cmd/ifleet run -workers 4 examples/fleet/smoke.json > "$tmp/fleet4.out"
 cmp "$tmp/fleet1.out" "$tmp/fleet4.out"
 cat "$tmp/fleet1.out"
 
+# Sweep smoke: an isim power sweep must match its recorded golden and
+# print the same points at any fan-out width. The header line names the
+# worker count, so the width comparison drops it.
+echo "== sweep smoke"
+sups=2mW,4mW,8mW,strong,weak,continuous
+go run ./cmd/isim -model SQN -sweep "$sups" -workers 1 > "$tmp/sweep1.out"
+go run ./cmd/isim -model SQN -sweep "$sups" -workers 2 > "$tmp/sweep2.out"
+cmp "$tmp/sweep1.out" cmd/isim/testdata/sweep_sqn.golden
+grep -v '^sweep: ' "$tmp/sweep1.out" > "$tmp/sweep1.points"
+grep -v '^sweep: ' "$tmp/sweep2.out" > "$tmp/sweep2.points"
+cmp "$tmp/sweep1.points" "$tmp/sweep2.points"
+cat "$tmp/sweep1.out"
+
 # Benchmark regression gate: when at least two BENCH_<date>.json
 # snapshots exist, diff the two most recent (lexical date sort) and fail
 # on hot-path regressions. One snapshot alone is just a baseline.
