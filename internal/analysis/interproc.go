@@ -34,7 +34,7 @@ import (
 // A function carrying a func-level allow-float / allow-alloc blessing
 // is an audited boundary: its own sites are exempt *and* its callees'
 // sites do not propagate through it. Without that rule, devirtualizing
-// a blessed wrapper (obs.StepClock.Emit) would re-surface everything
+// a blessed wrapper (obs.EnergyClock.Emit) would re-surface everything
 // behind it at every hot call site the blessing already vouched for.
 //
 // FloatFlow reports ANY call from a hotpath function to a float-reaching

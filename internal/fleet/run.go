@@ -79,14 +79,11 @@ func Run(sc *Scenario, opts Options) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := workers
-	if shards > len(nodes) {
-		shards = len(nodes)
-	}
-	hub := obs.NewHub(shards)
+	hub := obs.NewHub(0)
 	// Register every device before the fan-out, in node order: device
-	// identity, shard pinning and trace sections are then independent of
-	// worker scheduling.
+	// identity and trace sections are then independent of worker
+	// scheduling. Each device is written only by the worker running its
+	// node.
 	devs := make([]*obs.HubDevice, len(nodes))
 	for i, n := range nodes {
 		devs[i] = hub.Device(n.spec.ID, nil)

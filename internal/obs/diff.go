@@ -243,7 +243,8 @@ func WriteDiffCSV(w io.Writer, d *StatsDiff, names []string) error {
 // plus its layer-name table — the round-trip partner that lets two
 // exported runs be diffed (`isim -compare A.csv B.csv`) without
 // re-simulating. Power cycles and the event count are not part of the
-// CSV schema and come back zero.
+// CSV schema and come back zero. Layer indices must be below the number
+// of data rows, as in every WriteCSV export.
 func ReadStatsCSV(r io.Reader) (*RunStats, []string, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -298,6 +299,12 @@ func ReadStatsCSV(r io.Reader) (*RunStats, []string, error) {
 		li, err := strconv.Atoi(row[0])
 		if err != nil {
 			return nil, nil, bad("layer index", row[0], err)
+		}
+		if li >= len(rows)-1 {
+			// WriteCSV writes one row per layer, indexed 0..L-1, so a
+			// real export never names a layer at or past its row count.
+			// The cap bounds the name table by the input's size.
+			return nil, nil, fmt.Errorf("obs: run-stats CSV row %d: layer index %d out of range for %d data rows", i+2, li, len(rows)-1)
 		}
 		l.Layer = li
 		s.Layers = append(s.Layers, l)

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -197,5 +198,23 @@ func TestReadStatsCSVErrors(t *testing.T) {
 		if _, _, err := ReadStatsCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadStatsCSV accepted malformed input", name)
 		}
+	}
+}
+
+// TestReadStatsCSVHugeLayerIndex is the regression test for a tiny file
+// naming a huge layer index: the parser used to grow its name table to
+// that index. It must return an error and allocate in proportion to the
+// input, not to the index.
+func TestReadStatsCSVHugeLayerIndex(t *testing.T) {
+	in := strings.Join(csvHeader, ",") + "\n20000000,x,0,0,0,0,0,0,0,0,0\ntotal,,0,0,0,0,0,0,0,0,0\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadStatsCSV(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("ReadStatsCSV = %v, want a layer-index range error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("ReadStatsCSV allocated %d bytes for a %d-byte input", got, len(in))
 	}
 }

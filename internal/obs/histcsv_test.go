@@ -103,3 +103,23 @@ func TestWriteFile(t *testing.T) {
 		t.Error("WriteFile into missing directory: want error")
 	}
 }
+
+// TestReadHistogramsCSVUnsortedBounds is the regression test for bucket
+// bounds out of order: the parser must return an error naming the row,
+// not hand the bounds to Metrics.Histogram, which panics on them.
+func TestReadHistogramsCSVUnsortedBounds(t *testing.T) {
+	in := "histogram,le,count,sum,n\nh,2,0,0,0\nh,1,0,0,0\nh,+Inf,0,0,0\n"
+	_, err := ReadHistogramsCSV(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "row 3") {
+		t.Fatalf("ReadHistogramsCSV = %v, want an error naming row 3", err)
+	}
+	nan := "histogram,le,count,sum,n\nh,1,0,0,0\nh,NaN,0,0,0\nh,+Inf,0,0,0\n"
+	if _, err := ReadHistogramsCSV(strings.NewReader(nan)); err == nil {
+		t.Fatal("ReadHistogramsCSV accepted a NaN bound")
+	}
+	// Equal neighbouring bounds are sorted, as Metrics.Histogram accepts.
+	dup := "histogram,le,count,sum,n\nh,1,0,0,0\nh,1,0,0,0\nh,+Inf,0,0,0\n"
+	if _, err := ReadHistogramsCSV(strings.NewReader(dup)); err != nil {
+		t.Fatalf("ReadHistogramsCSV rejected equal bounds: %v", err)
+	}
+}

@@ -7,45 +7,26 @@ import (
 	"sync/atomic"
 )
 
-// hubMsg is one traced event tagged with its emitting device. It is a
-// plain value (one pointer, one Event) so a channel send never
-// heap-allocates.
-type hubMsg struct {
-	dev *HubDevice
-	ev  Event
-}
-
-// hubShard is one event lane of the Hub: a buffered channel drained by
-// exactly one owning goroutine, which is the only writer of the event
-// buffers of the devices assigned to the lane.
-type hubShard struct {
-	ch chan hubMsg
-}
-
 // Hub is the fleet-level telemetry collector: many concurrently
 // simulated devices each get a Tracer from Device, emit into it from
 // their own goroutines, and the Hub merges everything into per-device
 // run statistics, fleet rollup metrics and one multi-process Chrome
 // trace.
 //
-// Ownership model: state is sharded, not locked. Each device is pinned
-// to one shard; each shard's buffered channel is drained by a single
-// owning goroutine, which is the only writer of its devices' event
-// buffers — emitters never touch shared state, they only send one
-// value on a channel, so the emit path allocates nothing and takes no
-// lock. Device registration is the only mutex-guarded operation.
+// Ownership model: every device has a single owner. Whoever runs a
+// device is the only goroutine that emits into it, so Emit appends to
+// the device's own buffer on the emitting goroutine with no lock and
+// no hand-off. Only the device list is mutex-guarded.
 //
 // Producers own the shutdown edge: Close may only be called after
-// every goroutine that emits into the Hub has finished (join them with
-// the usual sync.WaitGroup first). Close drains the shards, joins the
-// owner goroutines, and freezes per-device statistics; the per-device
-// accessors (Stats, Metrics) and the fleet views (Rollup, WriteTrace)
-// are valid only after Close.
+// every goroutine that emits into the Hub has been joined, which orders
+// all emits before it. Close freezes per-device statistics;
+// emits after Close are dropped. The per-device accessors (Stats,
+// Metrics) and the fleet views (Rollup, WriteTrace) are valid only
+// after Close.
 type Hub struct {
 	mu     sync.Mutex
-	shards []hubShard
 	devs   []*HubDevice
-	wg     sync.WaitGroup
 	closed atomic.Bool
 }
 
@@ -55,57 +36,26 @@ type Hub struct {
 type HubDevice struct {
 	Name string
 
-	hub    *Hub
-	shard  *hubShard
-	names  []string // layer-name table for trace rendering
-	events []Event  // written only by the owning shard goroutine
-	stats  *RunStats
-	m      *Metrics
+	hub   *Hub
+	names []string  // layer-name table for trace rendering
+	rec   *Recorder // written only by the device's owning goroutine
+	stats *RunStats
+	m     *Metrics
 }
 
-// NewHub starts a Hub with the given number of shards (lanes drained
-// concurrently; one owning goroutine each). shards is clamped to >= 1.
-func NewHub(shards int) *Hub {
-	if shards < 1 {
-		shards = 1
-	}
-	h := &Hub{shards: make([]hubShard, shards)}
-	for i := range h.shards {
-		// The buffer absorbs emission bursts; 1024 matches the
-		// Recorder's initial capacity.
-		h.shards[i].ch = make(chan hubMsg, 1024)
-		h.wg.Add(1)
-		go h.drain(&h.shards[i])
-	}
-	return h
-}
-
-// drain is the shard's owning goroutine: the sole writer of the event
-// buffers of every device pinned to this shard.
-func (h *Hub) drain(s *hubShard) {
-	defer h.wg.Done()
-	for m := range s.ch {
-		m.dev.events = append(m.dev.events, m.ev)
-	}
-}
+// NewHub returns an empty Hub. The int argument is ignored; it is kept
+// so existing callers compile unchanged.
+func NewHub(int) *Hub { return &Hub{} }
 
 // Device registers a device and returns its tracer lane. names is the
 // device's layer-name table, used when rendering the merged trace.
-// Devices are assigned to shards round-robin; all lanes of one device
-// land on one shard, so its event order is its emission order.
 func (h *Hub) Device(name string, names []string) *HubDevice {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed.Load() {
 		panic("obs: Hub.Device after Close")
 	}
-	d := &HubDevice{
-		Name:   name,
-		hub:    h,
-		shard:  &h.shards[len(h.devs)%len(h.shards)],
-		names:  names,
-		events: make([]Event, 0, 1024),
-	}
+	d := &HubDevice{Name: name, hub: h, names: names, rec: NewRecorder()}
 	h.devs = append(h.devs, d)
 	return d
 }
@@ -115,40 +65,36 @@ func (h *Hub) Device(name string, names []string) *HubDevice {
 //iprune:hotpath
 func (d *HubDevice) Enabled() bool { return !d.hub.closed.Load() }
 
-// Emit implements Tracer: one channel send of a plain value, no lock,
-// no allocation. Events emitted after Close are dropped by the Enabled
-// guard; racing an Emit against Close violates the Hub's shutdown
-// contract (producers must be joined first).
+// Emit implements Tracer: an append to the device's own buffer on the
+// emitting goroutine. Events emitted after Close are dropped; racing an
+// Emit against Close violates the Hub's shutdown contract (producers
+// must be joined first).
 //
 //iprune:hotpath
 func (d *HubDevice) Emit(ev Event) {
 	if !d.hub.closed.Load() {
-		d.shard.ch <- hubMsg{dev: d, ev: ev}
+		d.rec.Emit(ev)
 	}
 }
 
-// Close shuts the Hub down: closes every shard, joins the owner
-// goroutines, and freezes per-device statistics and metrics. Idempotent.
-// All producers must have finished emitting before Close is called.
+// Close shuts the Hub down and freezes per-device statistics and
+// metrics. Idempotent. All producers must have finished emitting before
+// Close is called.
 func (h *Hub) Close() {
 	if h.closed.Swap(true) {
 		return
 	}
-	for i := range h.shards {
-		close(h.shards[i].ch)
-	}
-	h.wg.Wait()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, d := range h.devs {
-		d.stats = Collect(d.events)
+		d.stats = Collect(d.Events())
 		d.m = NewMetrics()
 		d.stats.Fill(d.m)
 	}
 }
 
 // Events returns the device's recorded events. Valid only after Close.
-func (d *HubDevice) Events() []Event { return d.events }
+func (d *HubDevice) Events() []Event { return d.rec.Events() }
 
 // Stats returns the device's collected run statistics (nil before
 // Close).
@@ -188,7 +134,7 @@ func (h *Hub) WriteTrace(w io.Writer) error {
 	st := NewStreamTracer(w, nil)
 	for _, d := range h.Devices() {
 		st.NextProcess(d.Name, d.names)
-		for _, ev := range d.events {
+		for _, ev := range d.Events() {
 			st.Emit(ev)
 		}
 	}

@@ -7,7 +7,7 @@
 //
 // The design goal is zero cost when disabled: hot paths hold a Tracer
 // interface and guard every emission with Enabled(), so with the Nop
-// tracer (or a nil tracer behind a StepClock) no event is constructed
+// tracer (or a nil tracer behind an EnergyClock) no event is constructed
 // and no allocation happens — events are plain value structs passed by
 // value, never boxed. The package deliberately depends on nothing but
 // the standard library and on no other package of this module, so every
@@ -77,7 +77,7 @@ func (k Kind) String() string {
 
 // Event is one trace event. Time is simulated, not wall-clock: the cost
 // simulator stamps seconds, the functional engine stamps preservation
-// steps (see StepClock). Layer and Op are -1 when the event is not
+// steps or priced seconds (see EnergyClock). Layer and Op are -1 when the event is not
 // scoped to a layer or op.
 type Event struct {
 	Kind   Kind
@@ -152,41 +152,6 @@ func (r *Recorder) Events() []Event { return r.events }
 // out by Events before the Reset.
 func (r *Recorder) Reset() { r.events = make([]Event, 0, cap(r.events)) }
 
-// StepClock drives a Tracer from functional execution, where simulated
-// time is the count of preservation steps rather than seconds: every
-// emission advances the clock by one step, so recorded timestamps are
-// strictly monotonic. The float conversion of the step counter lives
-// here so the Q15-pure engine packages never touch float arithmetic.
-// The zero StepClock (nil tracer) is disabled and emits nothing.
-type StepClock struct {
-	T    Tracer
-	step int64
-}
-
-// Enabled reports whether emissions reach a recording tracer.
-//
-//iprune:hotpath
-func (c *StepClock) Enabled() bool { return c.T != nil && c.T.Enabled() }
-
-// Emit records one event at the current step and advances the clock.
-//
-//iprune:hotpath
-//iprune:allow-float step-counter-to-timestamp conversion is confined here by design (see type doc)
-func (c *StepClock) Emit(kind Kind, layer int, op int64, read, write int64) {
-	if !c.Enabled() {
-		return
-	}
-	c.T.Emit(Event{
-		Kind:  kind,
-		Time:  float64(c.step),
-		Layer: layer,
-		Op:    op,
-		Read:  read,
-		Write: write,
-	})
-	c.step++
-}
-
 // Pricer converts one functional-execution event into simulated seconds
 // and joules. The obs package deliberately imports nothing, so the
 // implementation lives with the cost model's importers (see
@@ -201,14 +166,15 @@ type Pricer interface {
 	Price(kind Kind, macs, read, write int64) (dt, energy float64)
 }
 
-// EnergyClock drives a Tracer from functional execution, like StepClock,
-// but calibrates the timeline against a cost model: with a Pricer every
-// emission advances simulated seconds and accumulates joules, so
-// functional-engine traces land on the same microsecond/joule axis as
-// cost-simulator traces of the same schedule and overlay in one Chrome
-// trace. With a nil Pricer the clock degrades to StepClock semantics —
-// one abstract step per event, no energy — so default engine traces are
-// unchanged.
+// EnergyClock drives a Tracer from functional execution. With a nil
+// Pricer simulated time is the count of preservation steps: every
+// emission advances the clock by one step, so timestamps are strictly
+// monotonic and carry no energy. With a Pricer the clock is calibrated
+// against a cost model instead: every emission advances simulated
+// seconds and accumulates joules, so functional-engine traces land on
+// the same microsecond/joule axis as cost-simulator traces of the same
+// schedule and overlay in one Chrome trace. The zero EnergyClock (nil
+// tracer) is disabled and emits nothing.
 //
 // The clock mirrors the cost simulator's emission conventions so
 // Collect and the sinks treat both backends identically: an op-commit

@@ -3,9 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"text/tabwriter"
@@ -51,116 +51,19 @@ func layerName(names []string, li int) string {
 // ---------------------------------------------------------------------------
 // Chrome trace-event JSON
 
-// chromeEvent is one entry of the Chrome trace-event format, the subset
-// Perfetto and chrome://tracing load: "X" complete spans, "i" instants
-// and "M" thread-name metadata.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// chromeTrace is the JSON object container variant of the format.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// Tracks (tids) of the rendered trace.
-const (
-	tidAccel  = 1 // accelerator ops, preservation, recovery
-	tidLayers = 2 // layer spans
-	tidPower  = 3 // power cycles, failures, charging
-)
-
 // WriteChromeTrace renders a recorded event stream as Chrome trace-event
 // JSON. Open the file in https://ui.perfetto.dev (or chrome://tracing):
 // ops, layers and the power supply appear as three tracks. Timestamps
 // are microseconds of simulated time (the format's native unit), so a
 // cost-simulator second becomes 1e6 ticks and an engine preservation
-// step 1 tick.
+// step 1 tick. It replays the slice through a StreamTracer, so a
+// recorded run and a streamed run render the same bytes.
 func WriteChromeTrace(w io.Writer, events []Event, names []string) error {
-	const us = 1e6
-	ces := make([]chromeEvent, 0, len(events)+3)
-	for _, meta := range []struct {
-		tid  int
-		name string
-	}{{tidAccel, "accelerator"}, {tidLayers, "layers"}, {tidPower, "power"}} {
-		ces = append(ces, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: meta.tid,
-			Args: map[string]any{"name": meta.name},
-		})
+	st := NewStreamTracer(w, names)
+	for _, ev := range events {
+		st.Emit(ev)
 	}
-	for i := range events {
-		ev := &events[i]
-		ce := chromeEvent{Name: ev.Kind.String(), Cat: ev.Kind.String(), Ph: "i", Ts: ev.Time * us, Pid: 1, S: "t"}
-		switch ev.Kind {
-		case KindPowerOn, KindPowerOff, KindFailure:
-			ce.Tid = tidPower
-			if ev.Kind == KindFailure {
-				ce.S = "g"
-				if ev.Energy != 0 {
-					ce.Args = map[string]any{"lost_energy_j": ev.Energy}
-				}
-			}
-		case KindCharge:
-			ce.Tid = tidPower
-			ce.Ph = "X"
-			ce.Dur = ev.Dur * us
-			ce.S = ""
-		case KindOpStart, KindReExec:
-			ce.Tid = tidAccel
-			ce.Args = map[string]any{"op": ev.Op}
-		case KindOpCommit:
-			ce.Tid = tidAccel
-			ce.Ph = "X"
-			ce.Dur = ev.Dur * us
-			ce.S = ""
-			ce.Name = "op"
-			ce.Args = map[string]any{"op": ev.Op, "layer": layerName(names, ev.Layer)}
-			if ev.Energy != 0 {
-				ce.Args["energy_j"] = ev.Energy
-			}
-			if ev.Read != 0 {
-				ce.Args["read_bytes"] = ev.Read
-			}
-		case KindPreserve:
-			ce.Tid = tidAccel
-			ce.Args = map[string]any{"op": ev.Op, "write_bytes": ev.Write}
-		case KindRecovery:
-			ce.Tid = tidAccel
-			ce.Ph = "X"
-			ce.Dur = ev.Dur * us
-			ce.S = ""
-			ce.Args = map[string]any{"op": ev.Op, "refetch_bytes": ev.Read}
-			if ev.Energy != 0 {
-				ce.Args["energy_j"] = ev.Energy
-			}
-		case KindLayerStart:
-			continue // the LayerEnd event renders the whole span
-		case KindLayerEnd:
-			ce.Tid = tidLayers
-			ce.Ph = "X"
-			ce.Ts = (ev.Time - ev.Dur) * us
-			ce.Dur = ev.Dur * us
-			ce.S = ""
-			ce.Name = layerName(names, ev.Layer)
-			if ev.Energy != 0 {
-				ce.Args = map[string]any{"energy_j": ev.Energy}
-			}
-		default:
-			ce.Tid = tidAccel
-		}
-		ces = append(ces, ce)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: ces, DisplayTimeUnit: "ms"})
+	return st.Close()
 }
 
 // ---------------------------------------------------------------------------
@@ -305,8 +208,11 @@ func ReadHistogramsCSV(r io.Reader) (*Metrics, error) {
 			p.closed = true
 		} else {
 			b, err := strconv.ParseFloat(row[1], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(b) {
 				return nil, fmt.Errorf("obs: histogram CSV row %d: bad bound %q", i+2, row[1])
+			}
+			if k := len(p.bounds); k > 0 && b < p.bounds[k-1] {
+				return nil, fmt.Errorf("obs: histogram CSV row %d: bound %q of %s is below the previous bound", i+2, row[1], name)
 			}
 			p.bounds = append(p.bounds, b)
 		}

@@ -8,16 +8,23 @@ import (
 	"unicode/utf8"
 )
 
-// StreamTracer is the O(1)-event-memory counterpart of Recorder +
-// WriteChromeTrace: a Tracer that encodes each emitted event as one
-// Chrome trace-event JSON object straight into a buffered io.Writer and
-// retains nothing. A solar-day harvest simulation emits millions of
-// events; recording them first would hold the whole run in memory, so
-// the long-horizon CLI paths (`isim -trace`, `repro` artifacts) stream
-// instead. The byte output over a given event sequence is identical to
-// WriteChromeTrace over the same recorded slice (pinned by test), so
-// both sinks stay loadable by Perfetto / chrome://tracing and diffable
-// against each other.
+// Tracks (tids) of the rendered trace.
+const (
+	tidAccel  = 1 // accelerator ops, preservation, recovery
+	tidLayers = 2 // layer spans
+	tidPower  = 3 // power cycles, failures, charging
+)
+
+// StreamTracer is the package's one Chrome trace-event encoder: a
+// Tracer that encodes each emitted event as one JSON object straight
+// into a buffered io.Writer and retains nothing. A solar-day harvest
+// simulation emits millions of events; recording them first would hold
+// the whole run in memory, so the long-horizon CLI paths (`isim
+// -trace`, `repro` artifacts) stream instead. WriteChromeTrace renders a
+// recorded slice by replaying it through a StreamTracer, so both paths
+// produce the same bytes for the same events. The output is pinned
+// byte for byte to an encoding/json reference renderer kept in the
+// tests, which is the format's specification.
 //
 // Lifecycle: NewStreamTracer writes nothing; the object header and the
 // per-process metadata are emitted lazily before the first event, and
@@ -46,7 +53,8 @@ type StreamTracer struct {
 }
 
 // NewStreamTracer returns a streaming tracer rendering into w. names
-// labels layer indices exactly as in WriteChromeTrace; it may be nil.
+// labels layer indices (index i renders as names[i], anything out of
+// range as "layer<i>"); it may be nil.
 func NewStreamTracer(w io.Writer, names []string) *StreamTracer {
 	return &StreamTracer{
 		w:     bufio.NewWriterSize(w, 32<<10),
@@ -129,8 +137,8 @@ func (t *StreamTracer) Close() error {
 	}
 	t.closed = true
 	if !t.moved {
-		// Match WriteChromeTrace over an empty recording: the default
-		// section's track metadata appears even with no events.
+		// An empty recording still renders the default section's
+		// track metadata, as the reference encoder does.
 		t.ensureMeta()
 	}
 	t.ensureHeader()
@@ -161,7 +169,7 @@ func (t *StreamTracer) ensureHeader() {
 }
 
 // ensureMeta writes the current section's metadata records: an optional
-// process_name plus the three thread tracks, mirroring WriteChromeTrace.
+// process_name plus the three thread tracks.
 func (t *StreamTracer) ensureMeta() {
 	if t.meta {
 		return
@@ -196,9 +204,9 @@ func (t *StreamTracer) writeMeta(kind string, tid int, name string) {
 	t.n++
 }
 
-// appendEvent encodes one event exactly as WriteChromeTrace renders it
-// through encoding/json: same fields, same order, same float and string
-// encodings. The two code paths are pinned byte-identical by test, so
+// appendEvent encodes one event exactly as the encoding/json reference
+// encoder in the tests renders it: same fields, same order, same float
+// and string encodings. The two are pinned byte-identical by test, so
 // edit them together.
 func (t *StreamTracer) appendEvent(b []byte, ev *Event) []byte {
 	const us = 1e6
@@ -270,8 +278,8 @@ func (t *StreamTracer) appendEvent(b []byte, ev *Event) []byte {
 	return append(b, '}')
 }
 
-// appendCommon appends the fields shared by every event in chromeEvent
-// field order: name, cat, ph, ts, dur (omitted when zero), pid, tid and
+// appendCommon appends the fields shared by every event in the
+// reference encoder's field order: name, cat, ph, ts, dur (omitted when zero), pid, tid and
 // s (omitted when empty). name == "" selects the layer-name table via
 // nameLayer instead.
 func (t *StreamTracer) appendCommon(b []byte, name string, nameLayer int, cat, ph string, ts, dur float64, tid int, s string) []byte {

@@ -35,10 +35,116 @@ var trickyNames = []string{
 	"sep\u2028mid\u2029end",
 }
 
-// TestStreamTracerByteIdentical pins the tentpole equivalence: streaming
-// a run event by event produces exactly the bytes WriteChromeTrace
-// renders from the recorded slice, across every kind, float notation
-// and string-escaping edge the two encoders can disagree on.
+// ---------------------------------------------------------------------------
+// encoding/json reference encoder
+
+// chromeEvent is one entry of the Chrome trace-event format, the subset
+// Perfetto and chrome://tracing load: "X" complete spans, "i" instants
+// and "M" thread-name metadata.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	S    string         `json:"s,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// chromeTrace is the JSON object container variant of the format.
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// writeChromeTraceJSON is the reference Chrome-trace renderer, built on
+// encoding/json: the specification StreamTracer, and with it
+// WriteChromeTrace, must reproduce byte for byte.
+func writeChromeTraceJSON(w io.Writer, events []Event, names []string) error {
+	const us = 1e6
+	ces := make([]chromeEvent, 0, len(events)+3)
+	for _, meta := range []struct {
+		tid  int
+		name string
+	}{{tidAccel, "accelerator"}, {tidLayers, "layers"}, {tidPower, "power"}} {
+		ces = append(ces, chromeEvent{
+			Name: "thread_name", Ph: "M", Pid: 1, Tid: meta.tid,
+			Args: map[string]any{"name": meta.name},
+		})
+	}
+	for i := range events {
+		ev := &events[i]
+		ce := chromeEvent{Name: ev.Kind.String(), Cat: ev.Kind.String(), Ph: "i", Ts: ev.Time * us, Pid: 1, S: "t"}
+		switch ev.Kind {
+		case KindPowerOn, KindPowerOff, KindFailure:
+			ce.Tid = tidPower
+			if ev.Kind == KindFailure {
+				ce.S = "g"
+				if ev.Energy != 0 {
+					ce.Args = map[string]any{"lost_energy_j": ev.Energy}
+				}
+			}
+		case KindCharge:
+			ce.Tid = tidPower
+			ce.Ph = "X"
+			ce.Dur = ev.Dur * us
+			ce.S = ""
+		case KindOpStart, KindReExec:
+			ce.Tid = tidAccel
+			ce.Args = map[string]any{"op": ev.Op}
+		case KindOpCommit:
+			ce.Tid = tidAccel
+			ce.Ph = "X"
+			ce.Dur = ev.Dur * us
+			ce.S = ""
+			ce.Name = "op"
+			ce.Args = map[string]any{"op": ev.Op, "layer": layerName(names, ev.Layer)}
+			if ev.Energy != 0 {
+				ce.Args["energy_j"] = ev.Energy
+			}
+			if ev.Read != 0 {
+				ce.Args["read_bytes"] = ev.Read
+			}
+		case KindPreserve:
+			ce.Tid = tidAccel
+			ce.Args = map[string]any{"op": ev.Op, "write_bytes": ev.Write}
+		case KindRecovery:
+			ce.Tid = tidAccel
+			ce.Ph = "X"
+			ce.Dur = ev.Dur * us
+			ce.S = ""
+			ce.Args = map[string]any{"op": ev.Op, "refetch_bytes": ev.Read}
+			if ev.Energy != 0 {
+				ce.Args["energy_j"] = ev.Energy
+			}
+		case KindLayerStart:
+			continue // the LayerEnd event renders the whole span
+		case KindLayerEnd:
+			ce.Tid = tidLayers
+			ce.Ph = "X"
+			ce.Ts = (ev.Time - ev.Dur) * us
+			ce.Dur = ev.Dur * us
+			ce.S = ""
+			ce.Name = layerName(names, ev.Layer)
+			if ev.Energy != 0 {
+				ce.Args = map[string]any{"energy_j": ev.Energy}
+			}
+		default:
+			ce.Tid = tidAccel
+		}
+		ces = append(ces, ce)
+	}
+	enc := json.NewEncoder(w)
+	return enc.Encode(chromeTrace{TraceEvents: ces, DisplayTimeUnit: "ms"})
+}
+
+// TestStreamTracerByteIdentical pins the encoder against its
+// specification: streaming a run event by event, and replaying the
+// recorded slice through WriteChromeTrace, both produce exactly the
+// bytes the encoding/json reference renders, across every kind, float
+// notation and string-escaping edge the encoders can disagree on.
 func TestStreamTracerByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -52,7 +158,7 @@ func TestStreamTracerByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want bytes.Buffer
-			if err := WriteChromeTrace(&want, tc.events, tc.names); err != nil {
+			if err := writeChromeTraceJSON(&want, tc.events, tc.names); err != nil {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
@@ -67,7 +173,14 @@ func TestStreamTracerByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("stream output diverges from WriteChromeTrace\n got: %s\nwant: %s", got.String(), want.String())
+				t.Errorf("stream output diverges from the reference encoder\n got: %s\nwant: %s", got.String(), want.String())
+			}
+			var replay bytes.Buffer
+			if err := WriteChromeTrace(&replay, tc.events, tc.names); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(replay.Bytes(), want.Bytes()) {
+				t.Errorf("WriteChromeTrace diverges from the reference encoder\n got: %s\nwant: %s", replay.String(), want.String())
 			}
 		})
 	}

@@ -18,9 +18,8 @@
 //     drains, and ForEach returns it as a *PanicError. The pool stays
 //     usable.
 //
-// The shape follows the obs.Hub discipline: goroutines are owned by the
-// struct that spawned them, shut down by one close, and joined before
-// Close returns.
+// Goroutines are owned by the struct that spawned them, shut down by
+// one close, and joined before Close returns.
 package pool
 
 import (

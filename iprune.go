@@ -615,18 +615,18 @@ func AuditTrace(events []TraceEvent, sup Supply) *BudgetAudit {
 // cross-check into its verdict.
 func CountRegionFindings(r io.Reader) (int, error) { return energy.CountRegionFindings(r) }
 
-// TelemetryHub re-exports the concurrency-safe fleet telemetry
-// collector: per-device tracer lanes sharded across owning goroutines,
-// merged into per-device stats, fleet rollup metrics and one
-// multi-process trace. See obs.Hub for the ownership model.
+// TelemetryHub re-exports the fleet telemetry collector: one tracer
+// lane per device, each written only by the goroutine running that
+// device, merged at Close into per-device stats, fleet rollup metrics
+// and one multi-process trace. See obs.Hub for the ownership model.
 type TelemetryHub = obs.Hub
 
 // TelemetryDevice is one device's tracer lane into a TelemetryHub.
 type TelemetryDevice = obs.HubDevice
 
-// NewTelemetryHub starts a hub with the given shard count (clamped to
-// >= 1); Close it after all producers finish.
-func NewTelemetryHub(shards int) *TelemetryHub { return obs.NewHub(shards) }
+// NewTelemetryHub returns an empty hub; Close it after all producers
+// finish.
+func NewTelemetryHub() *TelemetryHub { return obs.NewHub(0) }
 
 // ReadHistogramsCSV parses a WriteHistogramsCSV export back into a
 // metrics registry.

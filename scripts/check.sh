@@ -80,12 +80,13 @@ go run scripts/jsoncheck.go "$tmp/fig2/trace.json"
 
 # Fleet scenario smoke: the shipped scenario must validate, pass its
 # assertions (ifleet run exits non-zero on a violation), and produce
-# byte-identical output at any fan-out width.
+# byte-identical summaries and traces at any fan-out width.
 echo "== fleet smoke"
 go run ./cmd/ifleet validate examples/fleet/smoke.json
-go run ./cmd/ifleet run -workers 1 examples/fleet/smoke.json > "$tmp/fleet1.out"
-go run ./cmd/ifleet run -workers 4 examples/fleet/smoke.json > "$tmp/fleet4.out"
+go run ./cmd/ifleet run -workers 1 -trace "$tmp/fleet1.trace" examples/fleet/smoke.json > "$tmp/fleet1.out"
+go run ./cmd/ifleet run -workers 4 -trace "$tmp/fleet4.trace" examples/fleet/smoke.json > "$tmp/fleet4.out"
 cmp "$tmp/fleet1.out" "$tmp/fleet4.out"
+cmp "$tmp/fleet1.trace" "$tmp/fleet4.trace"
 cat "$tmp/fleet1.out"
 
 # Sweep smoke: an isim power sweep must match its recorded golden and
@@ -100,6 +101,14 @@ grep -v '^sweep: ' "$tmp/sweep1.out" > "$tmp/sweep1.points"
 grep -v '^sweep: ' "$tmp/sweep2.out" > "$tmp/sweep2.points"
 cmp "$tmp/sweep1.points" "$tmp/sweep2.points"
 cat "$tmp/sweep1.out"
+
+# Fuzz smoke: a short bounded run of each parser fuzz target, on top of
+# the checked-in seed corpus that go test already replays. The contract
+# is an error for malformed input, never a panic.
+echo "== fuzz smoke"
+for target in FuzzReadStatsCSV FuzzReadHistogramsCSV; do
+    go test -run='^$' -fuzz="^$target\$" -fuzztime=10s ./internal/obs
+done
 
 # Benchmark regression gate: when at least two BENCH_<date>.json
 # snapshots exist, diff the two most recent (lexical date sort) and fail
