@@ -259,8 +259,7 @@ func BenchmarkPowerSweep(b *testing.B) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
 	tile.InstallMasks(net, specs)
-	cs := hawaii.NewCostSim(cfg)
-	plan, err := cs.CompileNetwork(net, specs, tile.Intermittent)
+	plan, err := hawaii.NewCostSim(cfg).CompileNetwork(net, specs, tile.Intermittent)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -269,7 +268,7 @@ func BenchmarkPowerSweep(b *testing.B) {
 		var last float64
 		for _, p := range sweep {
 			sup := power.Supply{Name: "sweep", Power: p, Jitter: 0}
-			r, err := cs.RunPlan(plan, power.NewSim(power.DefaultBuffer(), sup, 1))
+			r, err := plan.Run(power.NewSim(power.DefaultBuffer(), sup, 1), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -378,14 +377,13 @@ func BenchmarkCostSimHAR(b *testing.B) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
 	tile.InstallMasks(net, specs)
-	cs := hawaii.NewCostSim(cfg)
-	plan, err := cs.CompileNetwork(net, specs, tile.Intermittent)
+	plan, err := hawaii.NewCostSim(cfg).CompileNetwork(net, specs, tile.Intermittent)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cs.RunPlan(plan, power.NewSim(power.DefaultBuffer(), power.WeakPower, int64(i))); err != nil {
+		if _, err := plan.Run(power.NewSim(power.DefaultBuffer(), power.WeakPower, int64(i)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -496,11 +494,11 @@ func BenchmarkDisciplineComparison(b *testing.B) {
 	tasks := hawaii.TaskScheduleFromNetwork(net, specs, cfg)
 	for i := 0; i < b.N; i++ {
 		for _, sup := range report.Supplies() {
-			job, err := cs.Run(jobOps, tile.Intermittent, sup, 1)
+			job, err := cs.RunWithSim(jobOps, tile.Intermittent, power.NewSim(power.DefaultBuffer(), sup, 1))
 			if err != nil {
 				b.Fatal(err)
 			}
-			task, err := cs.Run(tasks, tile.Intermittent, sup, 1)
+			task, err := cs.RunWithSim(tasks, tile.Intermittent, power.NewSim(power.DefaultBuffer(), sup, 1))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -220,7 +220,9 @@ func main() {
 	if *verbose {
 		m := iprune.NewMetrics()
 		stats.Fill(m)
-		iprune.ObserveModel(m, res.Net)
+		if err := iprune.ObserveModel(m, res.Net); err != nil {
+			log.Fatal(err)
+		}
 		if err := iprune.WriteTraceSummary(os.Stdout, stats, m, names); err != nil {
 			log.Fatal(err)
 		}

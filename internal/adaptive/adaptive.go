@@ -32,7 +32,6 @@ type Variant struct {
 
 // Selector picks variants by harvested power.
 type Selector struct {
-	sim      *hawaii.CostSim
 	variants []Variant
 }
 
@@ -44,16 +43,15 @@ func NewSelector(variants []Variant) (*Selector, error) {
 		return nil, fmt.Errorf("adaptive: no variants")
 	}
 	cfg := tile.DefaultConfig()
-	s := &Selector{sim: hawaii.NewCostSim(cfg)}
+	cs := hawaii.NewCostSim(cfg)
+	s := &Selector{}
 	for _, v := range variants {
 		specs := tile.SpecsFromNetwork(v.Net, cfg)
-		for i, p := range v.Net.Prunables() {
-			if p.Mask() == nil {
-				p.InitBlocks(specs[i].TM, specs[i].TK)
-			}
+		err := tile.EnsureMasks(v.Net, specs)
+		if err == nil {
+			v.plan, err = cs.CompileNetwork(v.Net, specs, tile.Intermittent)
 		}
-		var err error
-		if v.plan, err = s.sim.CompileNetwork(v.Net, specs, tile.Intermittent); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("adaptive: variant %s: %w", v.Name, err)
 		}
 		if v.plan.Len() == 0 {
@@ -78,7 +76,7 @@ func (s *Selector) Estimate(i int, harvestWatts float64) float64 {
 	if harvestWatts >= 1 {
 		sup.Continuous = true
 	}
-	res, err := s.sim.RunPlan(s.variants[i].plan, power.NewSim(power.DefaultBuffer(), sup, 1))
+	res, err := s.variants[i].plan.Run(power.NewSim(power.DefaultBuffer(), sup, 1), nil)
 	if err != nil {
 		return math.Inf(1)
 	}

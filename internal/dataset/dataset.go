@@ -44,6 +44,21 @@ func (c Config) validate() {
 	}
 }
 
+// ForModel returns the task a paper model (SQN, HAR or CKS) is trained
+// and evaluated on: its calibrated default configuration and its
+// generator.
+func ForModel(model string) (Config, func(Config, int64) *Dataset, error) {
+	switch model {
+	case "SQN":
+		return ImagesConfig(), Images, nil
+	case "HAR":
+		return HARConfig(), HAR, nil
+	case "CKS":
+		return SpeechConfig(), Speech, nil
+	}
+	return Config{}, nil, fmt.Errorf("dataset: no dataset for model %q", model)
+}
+
 // ---------------------------------------------------------------------------
 // Images (SQN / CIFAR-10 stand-in)
 

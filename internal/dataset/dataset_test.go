@@ -148,3 +148,19 @@ func TestValuesFinite(t *testing.T) {
 		}
 	}
 }
+
+func TestForModel(t *testing.T) {
+	for model, want := range map[string]string{"SQN": "images", "HAR": "har", "CKS": "speech"} {
+		cfg, gen, err := ForModel(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Train, cfg.Test = 2, 2
+		if got := gen(cfg, 1).Name; got != want {
+			t.Errorf("%s: dataset %q, want %q", model, got, want)
+		}
+	}
+	if _, _, err := ForModel("nope"); err == nil {
+		t.Error("unknown model: want an error")
+	}
+}

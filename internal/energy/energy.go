@@ -163,10 +163,12 @@ func ParseBudget(s string) (Budget, error) {
 		return Budget{}, fmt.Errorf("energy: budget %q needs a unit (nJ|uJ|mJ|J|ops)", s)
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+	// Checked after scaling: a tiny value underflows to zero joules.
+	j := v * scale
+	if err != nil || j <= 0 || math.IsInf(j, 0) || math.IsNaN(j) {
 		return Budget{}, fmt.Errorf("energy: bad energy budget %q", s)
 	}
-	return Budget{Joules: v * scale}, nil
+	return Budget{Joules: j}, nil
 }
 
 // FormatJ renders an energy in the largest SI unit that keeps the

@@ -133,15 +133,16 @@ func (o *offsetTracer) Emit(ev obs.Event) {
 }
 
 // compilePlan compiles a model's accelerator-op schedule, as deployed
-// (dense block masks installed), for cs.
-func compilePlan(cs *hawaii.CostSim, model string, seed int64) (*hawaii.Plan, error) {
+// (dense block masks installed), under the default engine configuration.
+func compilePlan(model string, seed int64) (*hawaii.Plan, error) {
 	net, err := models.ByName(model, seed)
 	if err != nil {
 		return nil, err
 	}
-	specs := tile.SpecsFromNetwork(net, cs.Cfg)
+	cfg := tile.DefaultConfig()
+	specs := tile.SpecsFromNetwork(net, cfg)
 	tile.InstallMasks(net, specs)
-	return cs.CompileNetwork(net, specs, tile.Intermittent)
+	return hawaii.NewCostSim(cfg).CompileNetwork(net, specs, tile.Intermittent)
 }
 
 // accSamples sizes the held-out set for the deployed-accuracy probe:
@@ -156,17 +157,9 @@ func deployedAccuracy(model string, seed int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var cfg dataset.Config
-	var build func(dataset.Config, int64) *dataset.Dataset
-	switch model {
-	case "SQN":
-		cfg, build = dataset.ImagesConfig(), dataset.Images
-	case "HAR":
-		cfg, build = dataset.HARConfig(), dataset.HAR
-	case "CKS":
-		cfg, build = dataset.SpeechConfig(), dataset.Speech
-	default:
-		return 0, fmt.Errorf("fleet: no dataset for model %q", model)
+	cfg, build, err := dataset.ForModel(model)
+	if err != nil {
+		return 0, err
 	}
 	cfg.Train, cfg.Test = 1, accSamples
 	ds := build(cfg, seed)
@@ -194,12 +187,11 @@ func runNode(n *node, dev *obs.HubDevice) NodeResult {
 		sim = power.NewSim(power.DefaultBuffer(), n.supply, n.seed)
 	}
 	// The power simulator emits on the node's global clock; keep it on
-	// the raw device so RunPlan does not rebind it to the per-run
+	// the raw device so Plan.Run does not rebind it to the per-run
 	// tracer below.
 	sim.Trace = dev
 
-	cs := hawaii.NewCostSim(tile.DefaultConfig())
-	plan, err := compilePlan(cs, r.Model, n.seed)
+	plan, err := compilePlan(r.Model, n.seed)
 	if err != nil {
 		r.Err = err
 		return r
@@ -215,13 +207,12 @@ func runNode(n *node, dev *obs.HubDevice) NodeResult {
 			}
 			r.Model = sw.model
 			r.Switches++
-			if plan, err = compilePlan(cs, r.Model, n.seed); err != nil {
+			if plan, err = compilePlan(r.Model, n.seed); err != nil {
 				r.Err = err
 				return r
 			}
 		}
-		cs.Trace = &offsetTracer{t: dev, dt: now}
-		res, err := cs.RunPlan(plan, sim)
+		res, err := plan.Run(sim, &offsetTracer{t: dev, dt: now})
 		r.Latency += res.Latency
 		if err != nil {
 			r.Err = err

@@ -21,7 +21,6 @@
 package hawaii
 
 import (
-	"errors"
 	"fmt"
 
 	"iprune/internal/device"
@@ -66,7 +65,7 @@ type Op struct {
 //iprune:hotpath
 //iprune:allow-budget host-side schedule construction; it plans power-cycle regions but never executes inside one
 func BuildSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, mode tile.Mode, cfg tile.Config) []Op {
-	if err := checkMask(spec, mask); err != nil {
+	if err := tile.CheckMask(spec, mask); err != nil {
 		panic(err.Error())
 	}
 	eb := int64(cfg.ElemBytes)
@@ -164,14 +163,13 @@ type Result struct {
 	Break      Breakdown
 }
 
-// CostSim evaluates op schedules against a device profile.
+// CostSim compiles op schedules against a device profile and tile
+// config into plans, and runs them.
 type CostSim struct {
 	Dev device.Profile
 	Cfg tile.Config
-	// Trace receives op, layer and recovery events from every Run; the
-	// power simulator's own events (power-on/off, failure, charge) join
-	// the same stream. Nil disables tracing at the cost of one branch
-	// per op.
+	// Trace receives the events of every RunWithSim and RunNetwork
+	// (see Plan.Run).
 	Trace obs.Tracer
 }
 
@@ -195,28 +193,21 @@ func (cs *CostSim) opCost(op *Op, mode tile.Mode) (t, e float64, b Breakdown) {
 	readBytes := op.WeightRead + op.InputRead
 	overlapped := mode == tile.Intermittent && !op.SerialWrite
 	t, e = energy.Model{Dev: cs.Dev}.OpCost(op.MACs, readBytes, op.OutWrite+op.IndWrite, overlapped)
-	readT := d.TransferTime(readBytes, false)
-	compT := d.ComputeTime(op.MACs)
-	var writeT float64
-	if op.OutWrite+op.IndWrite > 0 {
-		writeT = d.TransferTime(op.OutWrite+op.IndWrite, true)
+	b = Breakdown{
+		ReadTime:     d.TransferTime(readBytes, false),
+		ComputeTime:  d.ComputeTime(op.MACs),
+		OverheadTime: d.OpOverheadTime,
 	}
-	b.ReadTime = readT
-	b.OverheadTime = d.OpOverheadTime
-	if mode == tile.Intermittent && op.SerialWrite {
-		b.ComputeTime = compT
-		b.WriteTime = writeT
-	} else if mode == tile.Intermittent {
-		if writeT >= compT {
-			b.WriteTime = writeT
-			b.ComputeTime = 0 // fully hidden under the write stream
+	if op.OutWrite+op.IndWrite > 0 {
+		b.WriteTime = d.TransferTime(op.OutWrite+op.IndWrite, true)
+	}
+	if overlapped {
+		// The dominant stage is exposed; the other is hidden under it.
+		if b.WriteTime >= b.ComputeTime {
+			b.ComputeTime = 0
 		} else {
-			b.ComputeTime = compT
 			b.WriteTime = 0
 		}
-	} else {
-		b.ComputeTime = compT
-		b.WriteTime = writeT
 	}
 	return t, e, b
 }
@@ -255,41 +246,12 @@ func (e *ErrOpExceedsBuffer) Error() string {
 		what, e.Op, e.Supply, energy.FormatJ(e.Energy), energy.FormatJ(e.Buffer))
 }
 
-// ErrMaskGeometry reports a prunable layer whose block mask does not
-// tile the layer the way the engine's ops do, so no schedule exists for
-// it: the mask's shape or block size differs from the layer spec's.
-type ErrMaskGeometry struct {
-	Layer        string
-	Rows, Cols   int // mask shape
-	BM, BK       int // mask block size
-	M, K, TM, TK int // spec shape and op tile
-}
-
-func (e *ErrMaskGeometry) Error() string {
-	return fmt.Sprintf("hawaii: mask geometry %dx%d/%dx%d does not match spec %dx%d/%dx%d for %s",
-		e.Rows, e.Cols, e.BM, e.BK, e.M, e.K, e.TM, e.TK, e.Layer)
-}
-
-// checkMask returns *ErrMaskGeometry unless mask is nil (dense) or
-// blocks spec exactly as its ops do.
-func checkMask(spec *tile.LayerSpec, mask *nn.BlockMask) error {
-	if mask == nil || mask.Rows == spec.M && mask.Cols == spec.K && mask.BM == spec.TM && mask.BK == spec.TK {
-		return nil
-	}
-	return &ErrMaskGeometry{
-		Layer: spec.Name, Rows: mask.Rows, Cols: mask.Cols, BM: mask.BM, BK: mask.BK,
-		M: spec.M, K: spec.K, TM: spec.TM, TK: spec.TK,
-	}
-}
-
 // Plan is one deployed model compiled for the cost simulator: its op
 // schedule under one execution mode, with every distinct op priced once
 // against the device profile and tile config of the CostSim that
 // compiled it. A plan is immutable, so one plan serves any number of
 // runs, concurrent ones included, under any supply.
 type Plan struct {
-	dev  device.Profile
-	cfg  tile.Config
 	mode tile.Mode
 	// seq is the schedule: seq[i] indexes the class of op i. The three
 	// paper models schedule 240–3816 ops but only 8–23 distinct ones.
@@ -308,14 +270,10 @@ type opClass struct {
 // Len returns the number of ops in the plan's schedule.
 func (p *Plan) Len() int { return len(p.seq) }
 
-// ErrPlanMismatch reports a plan run by a CostSim whose device profile
-// or tile config differs from the one that compiled it.
-var ErrPlanMismatch = errors.New("hawaii: plan was compiled for a different device profile or tile config")
-
 // compile prices the schedule ops under mode into a plan. The plan
 // copies what it needs, so ops may be reused afterwards.
 func (cs *CostSim) compile(ops []Op, mode tile.Mode) *Plan {
-	p := &Plan{dev: cs.Dev, cfg: cs.Cfg, mode: mode, seq: make([]int32, len(ops))}
+	p := &Plan{mode: mode, seq: make([]int32, len(ops))}
 	ids := make(map[Op]int32)
 	for i := range ops {
 		op := &ops[i]
@@ -335,59 +293,51 @@ func (cs *CostSim) compile(ops []Op, mode tile.Mode) *Plan {
 
 // CompileNetwork compiles the whole-model schedule of the network's
 // current masks. A mask the schedule cannot follow returns
-// *ErrMaskGeometry.
+// *tile.ErrMaskGeometry.
 func (cs *CostSim) CompileNetwork(net *nn.Network, specs []tile.LayerSpec, mode tile.Mode) (*Plan, error) {
 	for i, p := range net.Prunables() {
-		if err := checkMask(&specs[i], p.Mask()); err != nil {
+		if err := tile.CheckMask(&specs[i], p.Mask()); err != nil {
 			return nil, err
 		}
 	}
 	return cs.compile(ScheduleFromNetwork(net, specs, mode, cs.Cfg), mode), nil
 }
 
-// Run simulates one end-to-end inference of the schedule under the given
-// execution mode and supply. seed controls harvest jitter. A non-nil
-// error is *ErrOpExceedsBuffer: the schedule contains an op that can
-// never fit one buffer charge, and the partial Result covers the work
-// committed before the stuck op.
-func (cs *CostSim) Run(ops []Op, mode tile.Mode, sup power.Supply, seed int64) (Result, error) {
-	return cs.RunWithSim(ops, mode, power.NewSim(power.DefaultBuffer(), sup, seed))
-}
-
-// RunWithSim simulates the schedule against a caller-provided power
-// simulator — the hook for trace-driven supplies (power.NewTraceSim) and
-// custom buffers. It compiles the schedule on every call; callers that
-// run one network many times should CompileNetwork once and use RunPlan.
+// RunWithSim compiles the schedule and runs it once against a
+// caller-provided power simulator — the hook for trace-driven supplies
+// (power.NewTraceSim) and custom buffers. Callers that run one network
+// many times should CompileNetwork once and Run the plan.
 func (cs *CostSim) RunWithSim(ops []Op, mode tile.Mode, sim *power.Sim) (Result, error) {
-	return cs.RunPlan(cs.compile(ops, mode), sim)
+	return cs.compile(ops, mode).Run(sim, cs.Trace)
 }
 
 // RunNetwork compiles the network's current masks and runs the plan
-// once; a mask the schedule cannot follow returns *ErrMaskGeometry.
+// once; a mask the schedule cannot follow returns *tile.ErrMaskGeometry.
 func (cs *CostSim) RunNetwork(net *nn.Network, specs []tile.LayerSpec, mode tile.Mode, sup power.Supply, seed int64) (Result, error) {
 	p, err := cs.CompileNetwork(net, specs, mode)
 	if err != nil {
 		return Result{}, err
 	}
-	return cs.RunPlan(p, power.NewSim(power.DefaultBuffer(), sup, seed))
+	return p.Run(power.NewSim(power.DefaultBuffer(), sup, seed), cs.Trace)
 }
 
-// RunPlan simulates one end-to-end inference of a compiled plan against
-// sim; it is the one simulation loop behind every Run variant. Errors
-// are *ErrOpExceedsBuffer, as for Run, or ErrPlanMismatch.
+// Run simulates one end-to-end inference of the plan against sim; it
+// is the one simulation loop of the cost simulator. tr receives op,
+// layer and recovery events, and also the power simulator's own events
+// (power-on/off, failure, charge) unless sim already has a tracer; nil
+// disables tracing at the cost of one branch per op. A non-nil error is
+// *ErrOpExceedsBuffer: the schedule contains an op that can never fit
+// one buffer charge, and the partial Result covers the work committed
+// before the stuck op.
 //
 //iprune:allow-float analytic cost model integrates seconds and joules, not device numerics
-func (cs *CostSim) RunPlan(p *Plan, sim *power.Sim) (Result, error) {
-	if p.dev != cs.Dev || p.cfg != cs.Cfg {
-		return Result{}, ErrPlanMismatch
-	}
+func (p *Plan) Run(sim *power.Sim, tr obs.Tracer) (Result, error) {
 	sup := sim.Supply
 	if p.mode == tile.Continuous && !sup.Continuous {
 		panic("hawaii: the conventional data-reuse flow cannot survive power failures (Section II-B); use Intermittent mode with a harvested supply")
 	}
-	var tr obs.Tracer = obs.Nop{}
-	if cs.Trace != nil {
-		tr = cs.Trace
+	if tr == nil {
+		tr = obs.Nop{}
 	}
 	if sim.Trace == nil {
 		sim.Trace = tr

@@ -18,65 +18,34 @@ import (
 // a handful of loop indices rather than one job counter.
 const taskIndicatorBytes = 16
 
-// BuildTaskSchedule lowers a layer into atomic tasks: one task covers a
-// whole (output-column tile × k-panel) group — every surviving block row
-// of one k-block, the unit the input-stationary loop naturally brackets.
-// Within a task, outputs accumulate in VM; the task's outputs and loop
-// indices are written back only when it completes, so the write stream
-// cannot overlap the task's compute (SerialWrite). A failure inside a
-// task loses the whole task: RefetchBytes covers all its operands.
+// TaskScheduleFromNetwork builds the whole-model task schedule by
+// folding the intermittent job schedule: one task covers a whole
+// (output-column tile × k-panel) group — every surviving block row of
+// one k-block, the unit the input-stationary loop naturally brackets —
+// so a new task starts at every op that fetches an input tile. Within a
+// task, outputs accumulate in VM; the task's outputs and loop indices
+// are written back only when it completes, so the write stream cannot
+// overlap the task's compute (SerialWrite). A failure inside a task
+// loses the whole task: RefetchBytes covers all its operands. Fully
+// pruned k-panels have no ops and so no task.
 //
 // Each returned Op therefore *is* one task; the CostSim executes task
 // schedules unchanged.
-func BuildTaskSchedule(spec *tile.LayerSpec, mask *nn.BlockMask, cfg tile.Config) []Op {
-	if err := checkMask(spec, mask); err != nil {
-		panic(err.Error())
-	}
-	eb := int64(cfg.ElemBytes)
-	brs := (spec.M + spec.TM - 1) / spec.TM
-	bcs := (spec.K + spec.TK - 1) / spec.TK
-	nTiles := (spec.N + spec.TN - 1) / spec.TN
-	keep := func(br, bc int) bool {
-		return mask == nil || mask.Keep[br*bcs+bc]
-	}
-	var tasks []Op
-	for j := 0; j < nTiles; j++ {
-		tn := min(spec.TN, spec.N-j*spec.TN)
-		for bc := 0; bc < bcs; bc++ {
-			kk := min(spec.TK, spec.K-bc*spec.TK)
-			var task Op
-			task.Layer = spec.Index
-			task.SerialWrite = true
-			rows := 0
-			for br := 0; br < brs; br++ {
-				if !keep(br, bc) {
-					continue
-				}
-				rm := min(spec.TM, spec.M-br*spec.TM)
-				rows += rm
-				task.MACs += int64(rm) * int64(kk) * int64(tn)
-				task.Jobs += int64(rm) * int64(tn)
-				task.WeightRead += int64(rm) * int64(kk) * eb
-			}
-			if rows == 0 {
-				continue // fully pruned k-panel: no task at all
-			}
-			task.InputRead = int64(kk) * int64(tn) * eb
-			task.OutWrite = int64(rows) * int64(tn) * eb
-			task.IndWrite = taskIndicatorBytes
-			task.RefetchBytes = task.WeightRead + task.InputRead + task.OutWrite
-			tasks = append(tasks, task)
-		}
-	}
-	return tasks
-}
-
-// TaskScheduleFromNetwork builds the whole-model task schedule.
 func TaskScheduleFromNetwork(net *nn.Network, specs []tile.LayerSpec, cfg tile.Config) []Op {
-	prunables := net.Prunables()
 	var tasks []Op
-	for i := range specs {
-		tasks = append(tasks, BuildTaskSchedule(&specs[i], prunables[i].Mask(), cfg)...)
+	for _, op := range ScheduleFromNetwork(net, specs, tile.Intermittent, cfg) {
+		if op.InputRead > 0 {
+			tasks = append(tasks, Op{
+				Layer: op.Layer, InputRead: op.InputRead,
+				IndWrite: taskIndicatorBytes, SerialWrite: true,
+			})
+		}
+		task := &tasks[len(tasks)-1]
+		task.MACs += op.MACs
+		task.Jobs += op.Jobs
+		task.WeightRead += op.WeightRead
+		task.OutWrite += op.OutWrite
+		task.RefetchBytes = task.WeightRead + task.InputRead + task.OutWrite
 	}
 	return tasks
 }

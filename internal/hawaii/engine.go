@@ -653,31 +653,8 @@ func (e *Engine) transformInput(li int, spec *tile.LayerSpec, inAct []fixed.Q15)
 		}
 		return append([]fixed.Q15(nil), inAct...), nil
 	case *nn.Conv2D:
-		g := &l.Geom
 		col := make([]fixed.Q15, spec.K*spec.N)
-		row := 0
-		for c := 0; c < g.InC; c++ {
-			plane := inAct[c*g.InH*g.InW:]
-			for kh := 0; kh < g.KH; kh++ {
-				for kw := 0; kw < g.KW; kw++ {
-					dst := col[row*spec.N:]
-					i := 0
-					for oh := 0; oh < g.OutH; oh++ {
-						ih := oh*g.StrideH - g.PadH + kh
-						for ow := 0; ow < g.OutW; ow++ {
-							iw := ow*g.StrideW - g.PadW + kw
-							if ih < 0 || ih >= g.InH || iw < 0 || iw >= g.InW {
-								dst[i] = 0
-							} else {
-								dst[i] = plane[ih*g.InW+iw]
-							}
-							i++
-						}
-					}
-					row++
-				}
-			}
-		}
+		tensor.Im2col(&l.Geom, inAct, col)
 		return col, nil
 	default:
 		return nil, fmt.Errorf("hawaii: unsupported prunable stage %T", e.Net.Layers[li])

@@ -38,11 +38,7 @@ func buildNet(seed int64) (*nn.Network, []tile.LayerSpec, tile.Config) {
 
 func mustRun(t *testing.T, cs *CostSim, ops []Op, mode tile.Mode, sup power.Supply, seed int64) Result {
 	t.Helper()
-	res, err := cs.Run(ops, mode, sup, seed)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return res
+	return mustRunWithSim(t, cs, ops, mode, power.NewSim(power.DefaultBuffer(), sup, seed))
 }
 
 func mustRunWithSim(t *testing.T, cs *CostSim, ops []Op, mode tile.Mode, sim *power.Sim) Result {
@@ -218,7 +214,7 @@ func TestCostSimOpExceedsBufferError(t *testing.T) {
 	cfg := tile.DefaultConfig()
 	cs := NewCostSim(cfg)
 	ops := []Op{{Layer: 0, MACs: 1 << 30, Jobs: 1, WeightRead: 1 << 24, OutWrite: 1 << 24, RefetchBytes: 1 << 24}}
-	res, err := cs.Run(ops, tile.Intermittent, power.WeakPower, 1)
+	res, err := cs.RunWithSim(ops, tile.Intermittent, power.NewSim(power.DefaultBuffer(), power.WeakPower, 1))
 	if err == nil {
 		t.Fatal("expected ErrOpExceedsBuffer, got nil")
 	}
@@ -493,21 +489,20 @@ func TestCostSimTraceDriven(t *testing.T) {
 	}
 }
 
-func TestCostSimRunMatchesRunWithSim(t *testing.T) {
+func TestCostSimRunNetworkMatchesRunWithSim(t *testing.T) {
 	net, specs, cfg := buildNet(21)
 	cs := NewCostSim(cfg)
 	ops := ScheduleFromNetwork(net, specs, tile.Intermittent, cfg)
-	a := mustRun(t, cs, ops, tile.Intermittent, power.WeakPower, 5)
+	a := mustRunNetwork(t, cs, net, specs, tile.Intermittent, power.WeakPower, 5)
 	b := mustRunWithSim(t, cs, ops, tile.Intermittent, power.NewSim(power.DefaultBuffer(), power.WeakPower, 5))
 	if a != b {
-		t.Error("Run and RunWithSim diverged for the same supply/seed")
+		t.Error("RunNetwork and RunWithSim diverged for the same supply/seed")
 	}
 }
 
-// TestPlanIsSelfContained pins the compiled plan's contract: it is
-// priced once for one device profile and tile config and refuses any
-// other, it interns identical ops, and it does not alias the schedule it
-// was compiled from.
+// TestPlanIsSelfContained pins the compiled plan's contract: it interns
+// identical ops, and it does not alias the schedule it was compiled
+// from.
 func TestPlanIsSelfContained(t *testing.T) {
 	net, specs, cfg := buildNet(9)
 	cs := NewCostSim(cfg)
@@ -523,26 +518,12 @@ func TestPlanIsSelfContained(t *testing.T) {
 	if len(plan.classes) != len(distinct) {
 		t.Errorf("plan has %d op classes, schedule %d distinct ops", len(plan.classes), len(distinct))
 	}
-	want, err := cs.Run(ops, tile.Intermittent, power.WeakPower, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, cs, ops, tile.Intermittent, power.WeakPower, 3)
 	for i := range ops {
 		ops[i].MACs *= 2 // the plan must not see later edits to the schedule
 	}
-	got, err := cs.RunPlan(plan, power.NewSim(power.DefaultBuffer(), power.WeakPower, 3))
+	got, err := plan.Run(power.NewSim(power.DefaultBuffer(), power.WeakPower, 3), nil)
 	if err != nil || got != want {
-		t.Errorf("RunPlan = %+v, %v; want %+v", got, err, want)
-	}
-
-	other := NewCostSim(cfg)
-	other.Dev.MACTime *= 2
-	if _, err := other.RunPlan(plan, power.NewSim(power.DefaultBuffer(), power.WeakPower, 3)); !errors.Is(err, ErrPlanMismatch) {
-		t.Errorf("device mismatch: err = %v, want ErrPlanMismatch", err)
-	}
-	other = NewCostSim(cfg)
-	other.Cfg.IndicatorBytes++
-	if _, err := other.RunPlan(plan, power.NewSim(power.DefaultBuffer(), power.WeakPower, 3)); !errors.Is(err, ErrPlanMismatch) {
-		t.Errorf("config mismatch: err = %v, want ErrPlanMismatch", err)
+		t.Errorf("Plan.Run = %+v, %v; want %+v", got, err, want)
 	}
 }

@@ -112,8 +112,7 @@ func TestRunPlanAllocsIndependentOfLength(t *testing.T) {
 		}
 		specs := tile.SpecsFromNetwork(net, cfg)
 		tile.InstallMasks(net, specs)
-		cs := NewCostSim(cfg)
-		plan, err := cs.CompileNetwork(net, specs, tile.Intermittent)
+		plan, err := NewCostSim(cfg).CompileNetwork(net, specs, tile.Intermittent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +122,7 @@ func TestRunPlanAllocsIndependentOfLength(t *testing.T) {
 		}
 		next := 0
 		allocs[name] = testing.AllocsPerRun(runs, func() {
-			res, err := cs.RunPlan(plan, sims[next])
+			res, err := plan.Run(sims[next], nil)
 			next++
 			if err != nil || res.Failures == 0 {
 				t.Errorf("%s: %d failures, err %v; want an intermittent run", name, res.Failures, err)

@@ -66,17 +66,9 @@ var Full = Scale{
 
 // LoadData builds the dataset for an application at the given scale.
 func LoadData(app string, sc Scale, seed int64) (*dataset.Dataset, error) {
-	var cfg dataset.Config
-	var gen func(dataset.Config, int64) *dataset.Dataset
-	switch app {
-	case "SQN":
-		cfg, gen = dataset.ImagesConfig(), dataset.Images
-	case "HAR":
-		cfg, gen = dataset.HARConfig(), dataset.HAR
-	case "CKS":
-		cfg, gen = dataset.SpeechConfig(), dataset.Speech
-	default:
-		return nil, fmt.Errorf("report: unknown app %q", app)
+	cfg, gen, err := dataset.ForModel(app)
+	if err != nil {
+		return nil, err
 	}
 	cfg.Train = max(32, int(float64(cfg.Train)*sc.TrainFrac))
 	cfg.Test = max(24, int(float64(cfg.Test)*sc.TrainFrac))
@@ -161,13 +153,12 @@ func evaluate(name string, net *nn.Network, ds *dataset.Dataset, cfg tile.Config
 	v.AccuracyF = nn.Accuracy(net, ds.Test)
 	v.AccuracyQ = quant.AccuracyQ15(quant.QuantizeWeights(net), ds.Test)
 	v.Counts = tile.CountNetwork(net, specs, tile.Intermittent, cfg)
-	cs := hawaii.NewCostSim(cfg)
-	plan, err := cs.CompileNetwork(net, specs, tile.Intermittent)
+	plan, err := hawaii.NewCostSim(cfg).CompileNetwork(net, specs, tile.Intermittent)
 	if err != nil {
 		return v, fmt.Errorf("report: %s: %w", name, err)
 	}
 	for _, sup := range Supplies() {
-		r, err := cs.RunPlan(plan, power.NewSim(power.DefaultBuffer(), sup, seed))
+		r, err := plan.Run(power.NewSim(power.DefaultBuffer(), sup, seed), nil)
 		if err != nil {
 			return v, fmt.Errorf("report: %s under %s: %w", name, sup.Name, err)
 		}

@@ -192,8 +192,9 @@ func (g *ConvGeom) K() int { return g.InC * g.KH * g.KW }
 func (g *ConvGeom) N() int { return g.OutH * g.OutW }
 
 // Im2col lowers an input feature map (C×H×W, flattened) into the K×N
-// patch matrix such that W·col = output. col must have length K()*N().
-func Im2col(g *ConvGeom, in, col []float32) {
+// patch matrix such that W·col = output, zero padding included. col must
+// have length K()*N(). It serves float32 training and the Q15 engine.
+func Im2col[E any](g *ConvGeom, in, col []E) {
 	if len(in) < g.InC*g.InH*g.InW {
 		panic("tensor: im2col input too small")
 	}
@@ -201,6 +202,7 @@ func Im2col(g *ConvGeom, in, col []float32) {
 	if len(col) < g.K()*n {
 		panic("tensor: im2col output too small")
 	}
+	var zero E
 	row := 0
 	for c := 0; c < g.InC; c++ {
 		plane := in[c*g.InH*g.InW:]
@@ -212,7 +214,7 @@ func Im2col(g *ConvGeom, in, col []float32) {
 					ih := oh*g.StrideH - g.PadH + kh
 					if ih < 0 || ih >= g.InH {
 						for ow := 0; ow < g.OutW; ow++ {
-							dst[i] = 0
+							dst[i] = zero
 							i++
 						}
 						continue
@@ -221,7 +223,7 @@ func Im2col(g *ConvGeom, in, col []float32) {
 					for ow := 0; ow < g.OutW; ow++ {
 						iw := ow*g.StrideW - g.PadW + kw
 						if iw < 0 || iw >= g.InW {
-							dst[i] = 0
+							dst[i] = zero
 						} else {
 							dst[i] = plane[base+iw]
 						}

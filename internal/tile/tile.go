@@ -189,6 +189,49 @@ func InstallMasks(net *nn.Network, specs []LayerSpec) {
 	}
 }
 
+// EnsureMasks installs an accelerator-block mask on every prunable layer
+// that has none (one that has not been through the pruner) and keeps the
+// existing ones. An existing mask that does not block its layer as the
+// spec does returns *ErrMaskGeometry.
+func EnsureMasks(net *nn.Network, specs []LayerSpec) error {
+	for i, p := range net.Prunables() {
+		if p.Mask() == nil {
+			p.InitBlocks(specs[i].TM, specs[i].TK)
+		} else if err := CheckMask(&specs[i], p.Mask()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ErrMaskGeometry reports a prunable layer whose block mask does not
+// tile the layer the way the engine's ops do, so no schedule or count
+// exists for it: the mask's shape or block size differs from the layer
+// spec's.
+type ErrMaskGeometry struct {
+	Layer        string
+	Rows, Cols   int // mask shape
+	BM, BK       int // mask block size
+	M, K, TM, TK int // spec shape and op tile
+}
+
+func (e *ErrMaskGeometry) Error() string {
+	return fmt.Sprintf("tile: mask geometry %dx%d/%dx%d does not match spec %dx%d/%dx%d for %s",
+		e.Rows, e.Cols, e.BM, e.BK, e.M, e.K, e.TM, e.TK, e.Layer)
+}
+
+// CheckMask returns *ErrMaskGeometry unless mask is nil (dense) or
+// blocks spec exactly as its accelerator ops do.
+func CheckMask(spec *LayerSpec, mask *nn.BlockMask) error {
+	if mask == nil || mask.Rows == spec.M && mask.Cols == spec.K && mask.BM == spec.TM && mask.BK == spec.TK {
+		return nil
+	}
+	return &ErrMaskGeometry{
+		Layer: spec.Name, Rows: mask.Rows, Cols: mask.Cols, BM: mask.BM, BK: mask.BK,
+		M: spec.M, K: spec.K, TM: spec.TM, TK: spec.TK,
+	}
+}
+
 // Counts aggregates the execution-cost counters of a layer (or network).
 type Counts struct {
 	Ops        int64 // accelerator operations issued
@@ -271,11 +314,8 @@ func (m Mode) String() string {
 //iprune:hotpath
 //iprune:allow-budget analytic host-side characterization; loop bounds are layer geometry, not an on-device region
 func CountLayer(spec *LayerSpec, mask *nn.BlockMask, mode Mode, cfg Config) Counts {
-	if mask != nil {
-		if mask.Rows != spec.M || mask.Cols != spec.K || mask.BM != spec.TM || mask.BK != spec.TK {
-			panic(fmt.Sprintf("tile: mask geometry %dx%d/%dx%d does not match spec %dx%d/%dx%d for %s",
-				mask.Rows, mask.Cols, mask.BM, mask.BK, spec.M, spec.K, spec.TM, spec.TK, spec.Name))
-		}
+	if err := CheckMask(spec, mask); err != nil {
+		panic(err.Error())
 	}
 	var c Counts
 	eb := int64(cfg.ElemBytes)

@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,30 @@ func TestInstallMasksMatchesSpecs(t *testing.T) {
 		if m.BM != specs[i].TM || m.BK != specs[i].TK {
 			t.Errorf("layer %d mask block %dx%d, spec tile %dx%d", i, m.BM, m.BK, specs[i].TM, specs[i].TK)
 		}
+	}
+}
+
+func TestEnsureMasksKeepsAndChecks(t *testing.T) {
+	net := buildTestNet(t)
+	specs := SpecsFromNetwork(net, DefaultConfig())
+	ps := net.Prunables()
+	ps[0].InitBlocks(specs[0].TM, specs[0].TK)
+	kept := ps[0].Mask()
+	if err := EnsureMasks(net, specs); err != nil {
+		t.Fatal(err)
+	}
+	if ps[0].Mask() != kept {
+		t.Error("EnsureMasks replaced an existing mask")
+	}
+	for i, p := range ps {
+		if err := CheckMask(&specs[i], p.Mask()); p.Mask() == nil || err != nil {
+			t.Errorf("layer %d: mask %v, CheckMask %v", i, p.Mask(), err)
+		}
+	}
+	ps[1].InitBlocks(specs[1].TM+1, specs[1].TK)
+	var geom *ErrMaskGeometry
+	if err := EnsureMasks(net, specs); !errors.As(err, &geom) || geom.Layer != specs[1].Name {
+		t.Errorf("EnsureMasks on a mis-blocked layer: err = %v, want *ErrMaskGeometry for %s", err, specs[1].Name)
 	}
 }
 

@@ -215,36 +215,30 @@ func SimulateObserved(net *Network, sup Supply, seed int64, tr Tracer) (SimResul
 // model many times (several supplies, seeds or inferences) compiles
 // once and reuses the plan. A SimPlan is safe for concurrent use.
 type SimPlan struct {
-	cs   hawaii.CostSim
 	plan *hawaii.Plan
 }
 
 // CompileSim installs any missing block masks and compiles net's
 // intermittent schedule under the default engine configuration. Later
 // edits to net do not reach the plan. A mask the engine cannot schedule
-// returns *hawaii.ErrMaskGeometry.
+// returns *tile.ErrMaskGeometry.
 func CompileSim(net *Network) (*SimPlan, error) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
-	p := &SimPlan{cs: *hawaii.NewCostSim(cfg)}
-	var err error
-	if p.plan, err = p.cs.CompileNetwork(net, specs, tile.Intermittent); err != nil {
+	if err := tile.EnsureMasks(net, specs); err != nil {
 		return nil, err
 	}
-	return p, nil
+	plan, err := hawaii.NewCostSim(cfg).CompileNetwork(net, specs, tile.Intermittent)
+	if err != nil {
+		return nil, err
+	}
+	return &SimPlan{plan: plan}, nil
 }
 
 // Simulate runs one inference of the plan under sup, exactly as
 // SimulateObserved(net, sup, seed, tr) would; tr may be nil.
 func (p *SimPlan) Simulate(sup Supply, seed int64, tr Tracer) (SimResult, error) {
-	return p.run(power.NewSim(power.DefaultBuffer(), sup, seed), tr)
-}
-
-func (p *SimPlan) run(sim *power.Sim, tr Tracer) (SimResult, error) {
-	cs := p.cs
-	cs.Trace = tr
-	return cs.RunPlan(p.plan, sim)
+	return p.plan.Run(power.NewSim(power.DefaultBuffer(), sup, seed), tr)
 }
 
 // SweepPoint is one operating point of a PowerSweep: the supply it ran
@@ -264,7 +258,7 @@ type SweepPoint struct {
 // that immutable plan and results are positionally deterministic:
 // pts[i] always corresponds to sups[i], whatever the worker count, and
 // equals Simulate(net, sups[i], seed). A mask the schedule cannot
-// follow puts its *hawaii.ErrMaskGeometry on every point.
+// follow puts its *tile.ErrMaskGeometry on every point.
 func PowerSweep(net *Network, sups []Supply, seed int64, workers int) []SweepPoint {
 	return PowerSweepContext(context.Background(), net, sups, seed, workers)
 }
@@ -447,12 +441,16 @@ func WriteArtifact(path string, render func(io.Writer) error) error {
 
 // ObserveModel registers the analytic per-layer cost counters of the
 // network (ops, jobs — the pruning criterion —, MACs and NVM traffic)
-// in a metrics registry.
-func ObserveModel(m *Metrics, net *Network) {
+// in a metrics registry. A mask the engine cannot schedule returns
+// *tile.ErrMaskGeometry and registers nothing.
+func ObserveModel(m *Metrics, net *Network) error {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
+	if err := tile.EnsureMasks(net, specs); err != nil {
+		return err
+	}
 	tile.ObserveNetwork(m, net, specs, tile.Intermittent, cfg)
+	return nil
 }
 
 // ModelStats summarizes a deployable model.
@@ -468,7 +466,9 @@ type ModelStats struct {
 func Stats(net *Network) (ModelStats, error) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
+	if err := tile.EnsureMasks(net, specs); err != nil {
+		return ModelStats{}, err
+	}
 	m, err := quant.Deploy(net, specs)
 	if err != nil {
 		return ModelStats{}, err
@@ -489,7 +489,9 @@ func Stats(net *Network) (ModelStats, error) {
 func Engine(net *Network) (*hawaii.Engine, error) {
 	cfg := tile.DefaultConfig()
 	specs := tile.SpecsFromNetwork(net, cfg)
-	ensureMasks(net, specs)
+	if err := tile.EnsureMasks(net, specs); err != nil {
+		return nil, err
+	}
 	return hawaii.NewEngine(net, specs, cfg)
 }
 
@@ -501,18 +503,6 @@ func SaveModel(path string, net *Network, seed int64) error {
 
 // LoadModel restores a model written by SaveModel.
 func LoadModel(path string) (*Network, error) { return models.Load(path) }
-
-// ensureMasks installs accelerator-block masks on networks that have not
-// been through the pruner yet, so cost counting always has geometry.
-// Existing masks are kept; compiling reports one the engine cannot
-// schedule.
-func ensureMasks(net *Network, specs []tile.LayerSpec) {
-	for i, p := range net.Prunables() {
-		if p.Mask() == nil {
-			p.InitBlocks(specs[i].TM, specs[i].TK)
-		}
-	}
-}
 
 // ShareWeights applies k-means weight sharing (2^bits shared values per
 // layer) in place — the compression extension from the paper's
@@ -543,7 +533,7 @@ func SimulateTrace(net *Network, tr power.Trace, seed int64) (SimResult, error) 
 	if err != nil {
 		return SimResult{}, err
 	}
-	return p.run(sim, nil)
+	return p.plan.Run(sim, nil)
 }
 
 // Trace re-exports the time-varying harvest profile type.

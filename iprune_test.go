@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"iprune"
-	"iprune/internal/hawaii"
 	"iprune/internal/models"
+	"iprune/internal/tile"
 )
 
 func TestFacadeBuildAndStats(t *testing.T) {
@@ -82,18 +82,42 @@ func TestPowerSweepCancelledPropagatesError(t *testing.T) {
 	}
 }
 
+// TestObserveModelMaskGeometryError pins ObserveModel on a snapshot
+// whose masks hold one block per layer: it loads without error, and
+// ObserveModel returns *tile.ErrMaskGeometry instead of panicking while
+// counting the layers.
+func TestObserveModelMaskGeometryError(t *testing.T) {
+	net := models.HAR(1)
+	for _, p := range net.Prunables() {
+		_, rows, cols := p.WeightMatrix()
+		p.InitBlocks(rows, cols)
+	}
+	path := filepath.Join(t.TempDir(), "har.model")
+	if err := iprune.SaveModel(path, net, 1); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := iprune.LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var geom *tile.ErrMaskGeometry
+	if err := iprune.ObserveModel(iprune.NewMetrics(), loaded); !errors.As(err, &geom) {
+		t.Fatalf("ObserveModel: err = %v, want *tile.ErrMaskGeometry", err)
+	}
+}
+
 // TestSimulateMaskGeometryError pins the simulate entry points on a
 // network whose mask blocks a layer differently from the engine's ops:
-// each returns *hawaii.ErrMaskGeometry instead of panicking while
+// each returns *tile.ErrMaskGeometry instead of panicking while
 // building the schedule.
 func TestSimulateMaskGeometryError(t *testing.T) {
 	net := models.HAR(1)
 	net.Prunables()[0].InitBlocks(4, 4)
 	check := func(what string, err error) {
 		t.Helper()
-		var geom *hawaii.ErrMaskGeometry
+		var geom *tile.ErrMaskGeometry
 		if !errors.As(err, &geom) {
-			t.Errorf("%s: err = %v, want *hawaii.ErrMaskGeometry", what, err)
+			t.Errorf("%s: err = %v, want *tile.ErrMaskGeometry", what, err)
 		} else if geom.BM != 4 || geom.BK != 4 {
 			t.Errorf("%s: error reports block %dx%d, want 4x4", what, geom.BM, geom.BK)
 		}

@@ -104,10 +104,11 @@ cat "$tmp/sweep1.out"
 
 # Fuzz smoke: a short bounded run of each parser fuzz target, on top of
 # the checked-in seed corpus that go test already replays. The contract
-# is an error for malformed input, never a panic.
+# is an error for malformed input, never a panic. Each entry is
+# <package>:<target>.
 echo "== fuzz smoke"
-for target in FuzzReadStatsCSV FuzzReadHistogramsCSV; do
-    go test -run='^$' -fuzz="^$target\$" -fuzztime=10s ./internal/obs
+for spec in obs:FuzzReadStatsCSV obs:FuzzReadHistogramsCSV power:FuzzParseSupply energy:FuzzParseBudget; do
+    go test -run='^$' -fuzz="^${spec#*:}\$" -fuzztime=10s "./internal/${spec%%:*}"
 done
 
 # Benchmark regression gate: when at least two BENCH_<date>.json

@@ -117,6 +117,19 @@ func TestSimulateGolden(t *testing.T) {
 		}
 		got = append(got, simGoldenPoint{"HAR", c.name, "weak", res, errString(err)})
 	}
+	// SONIC/TAILS task-level preservation: the task schedule of every
+	// model, dense and pruned, under the weak and strong supplies.
+	for _, name := range models.Names() {
+		for _, variant := range []string{"dense", "pruned"} {
+			net := simGoldenNet(t, name, variant)
+			tasks := hawaii.TaskScheduleFromNetwork(net, tile.SpecsFromNetwork(net, cfg), cfg)
+			for _, sup := range []power.Supply{power.WeakPower, power.StrongPower} {
+				sim := power.NewSim(power.DefaultBuffer(), sup, simGoldenSeed)
+				res, err := hawaii.NewCostSim(cfg).RunWithSim(tasks, tile.Intermittent, sim)
+				got = append(got, simGoldenPoint{name, variant + "-task", sup.Name, res, errString(err)})
+			}
+		}
+	}
 
 	path := filepath.FromSlash(simGoldenPath)
 	if os.Getenv("UPDATE_SIM_GOLDEN") != "" {
